@@ -54,17 +54,17 @@ bench-batch:
 	$(GO) test -race -run 'Batch' ./internal/broadcast ./internal/faults ./internal/stats ./internal/experiment
 	$(GO) run ./cmd/figures -fig gossip -quick -batch -seed 7 -workers 4 -format csv
 
-# Event-calendar engine gate: the n=1000 des-vs-scalar points diffed against
-# BENCH_PR7.json, a race pass over the calendar's equivalence suites (wheel,
-# shards, the three engine ports and the figure-level bit-identity sweep),
-# and the -des figure path end to end through cmd/figures (the CSV bytes are
-# identical to the scalar engines by construction; see
-# TestDESFiguresBitIdentical for the in-process version).
+# Event-calendar engine gate: the calendar engines' n=1000 points diffed
+# against BENCH_PR7.json (its retired scalar rows print as not measured),
+# and a race pass over the wheel and shard suites plus the equivalence
+# suites that replay the scalar test oracles (MAC, multi-source MAC,
+# timed, wire protocol, parent chains, metric totals) and the figure-level
+# recorded-bytes sweep.
 bench-des:
 	$(GO) test -run xxx -bench 'DES(MAC|Wire|Timed)/n=1000$$' -benchtime 10x . \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR7.json -threshold 0.10
-	$(GO) test -race -run 'DES|Wheel|Shards' ./internal/des ./internal/broadcast ./internal/sim ./internal/experiment
-	$(GO) run ./cmd/figures -fig gossip -quick -des -seed 7 -workers 4 -format csv
+	$(GO) test -race -run 'DES|Wheel|Shards|MultiMAC|ParentChain|ParentScalar|MetricsParity' \
+		./internal/des ./internal/broadcast ./internal/sim ./internal/experiment
 
 # Sharded construction-stage gate: the unit-disk sweep, clusterhead
 # election and coverage-digest curves diffed against BENCH_PR8.json
@@ -120,7 +120,7 @@ telemetry-smoke:
 
 # Traffic-workload gate: a race pass over the multi-source MAC engine,
 # workload, route-discovery and parent-chain equivalence suites; the
-# n=1000 scalar-vs-des throughput points diffed against BENCH_PR10.json;
+# n=1000 calendar throughput point diffed against BENCH_PR10.json;
 # a -traffic manetsim load report; and the traffic/discovery figures end
 # to end under the quick rule (CSV checksums make worker-count
 # nondeterminism visible in CI logs). Artifacts land in artifacts/workload.

@@ -103,40 +103,73 @@ func TestRunLoadMissingFile(t *testing.T) {
 	}
 }
 
-// TestRunDESByteIdentical: the -des engines must reproduce the scalar
-// comparison table byte for byte — every protocol row, the wire-protocol
-// section, and a churn fault schedule included.
-func TestRunDESByteIdentical(t *testing.T) {
-	cfgs := []config{
-		{n: 40, d: 10, seed: 3, source: -1, protocols: "all", wire: true},
-		{n: 30, d: 8, seed: 5, source: 0, protocols: "all", faults: "mtbf=60,mttr=20"},
+// cksum is the POSIX cksum(1) checksum: CRC-32 with polynomial
+// 0x04C11DB7, MSB first, over the bytes and then their length, inverted.
+// The recorded values below therefore match `manetsim ... | cksum`.
+func cksum(b []byte) uint32 {
+	var table [256]uint32
+	for i := range table {
+		c := uint32(i) << 24
+		for k := 0; k < 8; k++ {
+			if c&0x80000000 != 0 {
+				c = c<<1 ^ 0x04C11DB7
+			} else {
+				c <<= 1
+			}
+		}
+		table[i] = c
 	}
-	for i, cfg := range cfgs {
-		var scalar, des bytes.Buffer
-		if err := run(cfg, &scalar); err != nil {
-			t.Fatal(err)
-		}
-		cfg.des = true
-		if err := run(cfg, &des); err != nil {
-			t.Fatal(err)
-		}
-		if scalar.String() != des.String() {
-			t.Errorf("cfg %d: -des output differs from scalar:\n--- scalar ---\n%s\n--- des ---\n%s",
-				i, scalar.String(), des.String())
+	var crc uint32
+	add := func(c byte) { crc = crc<<8 ^ table[byte(crc>>24)^c] }
+	for _, c := range b {
+		add(c)
+	}
+	for n := len(b); n > 0; n >>= 8 {
+		add(byte(n))
+	}
+	return ^crc
+}
+
+// runCksum runs the command and returns its stdout's cksum and length.
+func runCksum(t *testing.T, cfg config) (uint32, int, string) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	return cksum(out.Bytes()), out.Len(), out.String()
+}
+
+// TestRunDESByteIdentical: the calendar engines (timed rows, the wire
+// protocol) reproduce the comparison table recorded when the scalar loops
+// were the production engines, byte for byte — every protocol row, the
+// wire-protocol section, and a churn fault schedule included.
+func TestRunDESByteIdentical(t *testing.T) {
+	for i, tc := range []struct {
+		cfg  config
+		sum  uint32
+		size int
+	}{
+		// manetsim -n 40 -d 10 -seed 3 -protocols all -wire
+		{config{n: 40, d: 10, seed: 3, source: -1, protocols: "all", wire: true}, 3132580994, 1028},
+		// manetsim -n 30 -d 8 -seed 5 -source 0 -protocols all -faults mtbf=60,mttr=20
+		{config{n: 30, d: 8, seed: 5, source: 0, protocols: "all", faults: "mtbf=60,mttr=20"}, 1497577170, 1117},
+	} {
+		sum, size, out := runCksum(t, tc.cfg)
+		if sum != tc.sum || size != tc.size {
+			t.Errorf("cfg %d: cksum %d %d, recorded %d %d:\n%s", i, sum, size, tc.sum, tc.size, out)
 		}
 	}
 }
 
 // TestRunTrafficReport: the -traffic flag appends a per-backbone load
-// report, identical bytes with the calendar engines on.
+// report, with the bytes recorded when the scalar multi-source loop was
+// the production engine.
 func TestRunTrafficReport(t *testing.T) {
-	var out bytes.Buffer
+	// manetsim -n 40 -d 10 -seed 3 -source 0 -protocols flooding -traffic proc=poisson,rate=0.3,flows=16
 	cfg := config{n: 40, d: 10, seed: 3, source: 0, protocols: "flooding",
 		traffic: "proc=poisson,rate=0.3,flows=16"}
-	if err := run(cfg, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
+	sum, size, s := runCksum(t, cfg)
 	if !strings.Contains(s, "traffic workload:") || !strings.Contains(s, "throughput") {
 		t.Fatalf("traffic report missing:\n%s", s)
 	}
@@ -145,14 +178,8 @@ func TestRunTrafficReport(t *testing.T) {
 			t.Fatalf("traffic report missing backbone %q:\n%s", row, s)
 		}
 	}
-	var des bytes.Buffer
-	cfgDES := cfg
-	cfgDES.des = true
-	if err := run(cfgDES, &des); err != nil {
-		t.Fatal(err)
-	}
-	if des.String() != s {
-		t.Fatal("-des changed the traffic report bytes")
+	if sum != 47148721 || size != 618 {
+		t.Fatalf("cksum %d %d, recorded 47148721 618:\n%s", sum, size, s)
 	}
 }
 
@@ -176,5 +203,28 @@ func TestRunTrafficBadSpec(t *testing.T) {
 	cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "flooding", traffic: "proc=warp"}
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-traffic") {
 		t.Fatalf("want -traffic parse error, got %v", err)
+	}
+}
+
+// TestRunBadSpecPrintsNothing: a -faults or -traffic spec that fails to
+// parse or validate is rejected before any output or work — no network
+// line, no protocol rows.
+func TestRunBadSpecPrintsNothing(t *testing.T) {
+	for _, cfg := range []config{
+		{faults: "mtbf=NaN"},
+		{faults: "mtbf=-1"},
+		{faults: "part=0:10:x:Inf"},
+		{traffic: "proc=poisson,rate=NaN,flows=4"},
+		{traffic: "flows=0"},
+		{faults: "mtbf=60", traffic: "proc=warp"},
+	} {
+		cfg.n, cfg.d, cfg.seed, cfg.source, cfg.protocols = 20, 8, 1, 0, "all"
+		var out bytes.Buffer
+		if err := run(cfg, &out); err == nil {
+			t.Errorf("faults=%q traffic=%q: accepted", cfg.faults, cfg.traffic)
+		}
+		if out.Len() != 0 {
+			t.Errorf("faults=%q traffic=%q: printed before failing:\n%s", cfg.faults, cfg.traffic, out.String())
+		}
 	}
 }

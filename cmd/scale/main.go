@@ -28,7 +28,7 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,7 +54,6 @@ type config struct {
 	memProf  string
 	manifest string
 	trace    string
-	des      bool
 	tel      live.Flags
 }
 
@@ -68,8 +67,6 @@ func main() {
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
 		"construction-stage shards: unit-disk sweep, clusterhead election and coverage digest (0 = sequential reference paths; results are bit-identical either way)")
 	flag.StringVar(&cfg.stages, "stages", "static25,mocds,dynamic25", "comma-separated stages to run")
-	flag.BoolVar(&cfg.des, "des", false,
-		"run dynamic25 broadcasts on the event-calendar engine (bit-identical results)")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")
 	flag.StringVar(&cfg.manifest, "manifest", "", "write a run manifest (JSON) to this file")
@@ -89,7 +86,7 @@ func main() {
 // without trace support ignore it.
 type stageFunc func(ws *experiment.Workspace, nw *topology.Network, source int, tr *obs.Tracer) float64
 
-func stageSet(workers int, des bool) map[string]stageFunc {
+func stageSet(workers int) map[string]stageFunc {
 	pbb := backbone.NewParallelWorkspace()
 	pmo := mocds.NewParallelWorkspace()
 	return map[string]stageFunc{
@@ -115,10 +112,24 @@ func stageSet(workers int, des bool) map[string]stageFunc {
 			// Set unconditionally: the pooled protocol keeps its tracer
 			// across NewWith, so untraced replicates must clear it.
 			p.SetTracer(tr)
-			p.SetDES(des)
 			return float64(p.BroadcastWS(source).ForwardCount())
 		},
 	}
+}
+
+// median returns the median of ts (sorting it in place): the middle
+// element for an odd count, the mean of the two middle elements for an
+// even one, and 0 for none.
+func median(ts []time.Duration) time.Duration {
+	if len(ts) == 0 {
+		return 0
+	}
+	slices.Sort(ts)
+	mid := len(ts) / 2
+	if len(ts)%2 == 1 {
+		return ts[mid]
+	}
+	return (ts[mid-1] + ts[mid]) / 2
 }
 
 // tracedStage is the stage whose event stream -trace records.
@@ -128,7 +139,7 @@ const tracedStage = "dynamic25"
 // telemetry shutdown (final heartbeat, self-scrape) surface its error.
 func run(cfg config, out io.Writer) (retErr error) {
 	experiment.SetBuildWorkers(cfg.buildW)
-	stages := stageSet(cfg.workers, cfg.des)
+	stages := stageSet(cfg.workers)
 	var names []string
 	for _, s := range strings.Split(cfg.stages, ",") {
 		s = strings.TrimSpace(s)
@@ -244,9 +255,8 @@ func run(cfg config, out io.Writer) (retErr error) {
 				name, rep, sample.Round(time.Microsecond), kernel.Round(time.Microsecond),
 				fmt.Sprintf("%.1fMiB", float64(ms1.HeapInuse)/(1<<20)), v)
 		}
-		sort.Slice(kernelTimes, func(i, j int) bool { return kernelTimes[i] < kernelTimes[j] })
 		fmt.Fprintf(out, "%-10s median kernel %v over %d reps, heap high-water %.1f MiB\n",
-			name, kernelTimes[len(kernelTimes)/2].Round(time.Microsecond), len(kernelTimes), float64(heapHigh)/(1<<20))
+			name, median(kernelTimes).Round(time.Microsecond), len(kernelTimes), float64(heapHigh)/(1<<20))
 	}
 	obs.MergeStages(&clk)
 

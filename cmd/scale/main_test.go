@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"clustercast/internal/obs"
 )
@@ -123,5 +124,31 @@ func TestRunManifestAndTrace(t *testing.T) {
 	want := strings.TrimSpace(repLine[strings.Index(repLine, "result=")+len("result="):])
 	if got := len(senders); want == "" || want != strconv.Itoa(got) {
 		t.Fatalf("trace senders %d != printed result %q", got, want)
+	}
+}
+
+// TestMedian: an even rep count takes the mean of the two middle kernel
+// times, not the upper one; input order does not matter.
+func TestMedian(t *testing.T) {
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		in   []time.Duration
+		want time.Duration
+	}{
+		{nil, 0},
+		{ms(7), 7 * time.Millisecond},
+		{ms(30, 10), 20 * time.Millisecond},
+		{ms(40, 10, 30, 20), 25 * time.Millisecond},
+		{ms(5, 1, 3), 3 * time.Millisecond},
+	} {
+		if got := median(tc.in); got != tc.want {
+			t.Errorf("median(%v) = %v, want %v", tc.in, got, tc.want)
+		}
 	}
 }

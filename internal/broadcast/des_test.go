@@ -10,11 +10,11 @@ import (
 	"clustercast/internal/rng"
 )
 
-// Equivalence gates for the internal/des calendar ports: the scalar
-// engines are the golden reference, and every port must replay them
-// bit-identically — results, protocol callbacks (observed through the
-// results), randomness consumption, and the typed trace stream
-// (compared as JSONL bytes).
+// Equivalence gates for the calendar engines: the scalar loops of
+// oracle_test.go are the golden reference, and every production engine
+// must replay them bit-identically — results, protocol callbacks
+// (observed through the results), randomness consumption, and the typed
+// trace stream (compared as JSONL bytes).
 
 // traceBytes drains a tracer to its canonical JSONL form.
 func traceBytes(t *testing.T, tr *obs.Tracer) []byte {
@@ -38,61 +38,6 @@ func burstOracle(t *testing.T, n int, seed uint64) *faults.Oracle {
 	return faults.New(spec, n)
 }
 
-func TestDESIdealEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opt  func(n int) Options
-	}{
-		{"ideal", func(int) Options { return Options{} }},
-		{"lossy", func(int) Options { return Options{Loss: 0.25, Seed: 99} }},
-		{"faults", func(n int) Options { return Options{Faults: burstOracle(t, n, 7)} }},
-		{"lossy-faults", func(n int) Options { return Options{Loss: 0.1, Seed: 3, Faults: burstOracle(t, n, 8)} }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for trial := 0; trial < 6; trial++ {
-				nw := randomNet(t, 100+uint64(trial), 40+10*trial, 8)
-				n := nw.G.N()
-				ps := []Protocol{
-					Flooding{},
-					Gossip{P: 0.7, Seed: 11},
-					StaticCDS{Set: map[int]bool{0: true, 1: true, 2: true, 5: true, 7: true}, Label: "cds"},
-					NewDP(NewNeighborhood(nw.G)),
-				}
-				for _, p := range ps {
-					source := trial % n
-					trA, trB := obs.NewTracer(1<<14), obs.NewTracer(1<<14)
-					optA, optB := tc.opt(n), tc.opt(n)
-					optA.Tracer, optB.Tracer = trA, trB
-					// Fresh oracles per engine: the oracle's per-link query
-					// cursors are part of the replayed sequence.
-					if optA.Faults != nil {
-						optA.Faults = burstOracle(t, n, uint64(7+trial))
-						optB.Faults = burstOracle(t, n, uint64(7+trial))
-					}
-					wsA, wsB := NewWorkspace(), NewWorkspace()
-					a := wsA.RunOpts(nw.G, source, p, optA).Materialize()
-					b := wsB.RunDESOpts(nw.G, source, p, optB).Materialize()
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("trial %d %s: scalar and DES results differ:\n%+v\n%+v", trial, p.Name(), a, b)
-					}
-					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
-						t.Fatalf("trial %d %s: trace streams differ", trial, p.Name())
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestDESIdealMatchesLegacyRun(t *testing.T) {
-	nw := randomNet(t, 5, 60, 9)
-	a := Run(nw.G, 3, Flooding{})
-	b := RunDESIdeal(nw.G, 3, Flooding{})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("package-level RunDESIdeal differs from Run:\n%+v\n%+v", a, b)
-	}
-}
-
 func TestDESTimedEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		nw := randomNet(t, 200+uint64(trial), 40+10*trial, 8)
@@ -112,7 +57,7 @@ func TestDESTimedEquivalence(t *testing.T) {
 					optA.Faults = burstOracle(t, n, uint64(40+trial))
 					optB.Faults = burstOracle(t, n, uint64(40+trial))
 				}
-				a := RunTimedOpts(nw.G, source, p, optA)
+				a := runTimedScalar(nw.G, source, p, optA)
 				tw := NewTimedWorkspace()
 				b := tw.Run(nw.G, source, p, optB)
 				if !reflect.DeepEqual(a, b) {
@@ -128,8 +73,6 @@ func TestDESTimedEquivalence(t *testing.T) {
 }
 
 func TestDESMACEquivalence(t *testing.T) {
-	defer func(old int) { desMACParallelMin = old }(desMACParallelMin)
-	desMACParallelMin = 1 // force the sharded path even on small slot batches
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 300+uint64(trial), 40+12*trial, 9)
 		n := nw.G.N()
@@ -147,29 +90,22 @@ func TestDESMACEquivalence(t *testing.T) {
 					if withFaults {
 						optA.Faults = burstOracle(t, n, uint64(70+trial))
 					}
-					a := RunMAC(nw.G, source, p, optA)
-					workerSet := []int{0, 2, 5, 8}
+					a := runMACScalar(nw.G, source, p, optA)
+					trB := obs.NewTracer(1 << 14)
+					optB := optA
+					optB.Tracer = trB
 					if withFaults {
-						workerSet = []int{0} // oracle query order pins the sequential path
+						optB.Faults = burstOracle(t, n, uint64(70+trial))
 					}
-					for _, workers := range workerSet {
-						trB := obs.NewTracer(1 << 14)
-						optB := optA
-						optB.Tracer, optB.Workers = trB, workers
-						if withFaults {
-							optB.Faults = burstOracle(t, n, uint64(70+trial))
-						}
-						mw := NewMACWorkspace()
-						b := mw.Run(nw.G, source, p, optB).Materialize()
-						if !reflect.DeepEqual(&a.Result, &b.Result) ||
-							a.Collisions != b.Collisions || a.LostCopies != b.LostCopies {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: scalar and DES differ:\n%+v\n%+v",
-								trial, p.Name(), jit, withFaults, workers, a, b)
-						}
-						if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: trace streams differ",
-								trial, p.Name(), jit, withFaults, workers)
-						}
+					b := RunMAC(nw.G, source, p, optB)
+					if !reflect.DeepEqual(&a.Result, &b.Result) ||
+						a.Collisions != b.Collisions || a.LostCopies != b.LostCopies {
+						t.Fatalf("trial %d %s jit=%d faults=%v: scalar and DES differ:\n%+v\n%+v",
+							trial, p.Name(), jit, withFaults, a, b)
+					}
+					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
+						t.Fatalf("trial %d %s jit=%d faults=%v: trace streams differ",
+							trial, p.Name(), jit, withFaults)
 					}
 				}
 			}
@@ -179,7 +115,7 @@ func TestDESMACEquivalence(t *testing.T) {
 
 // TestDESMACScheduleProperty is the randomized slot-schedule property
 // gate: across random topologies, sources, seeds and contention
-// windows, the calendar port reproduces the scalar collision table's
+// windows, the calendar MAC engine reproduces its scalar oracle's
 // (slot, sender, trigger) schedule exactly — including slots assigned
 // through the `slot := t + 1 + draw()` backoff path (Jitter > 0 makes
 // every forward take it).
@@ -207,7 +143,7 @@ func TestDESMACScheduleProperty(t *testing.T) {
 		trA := obs.NewTracer(1 << 14)
 		optA := opt
 		optA.Tracer = trA
-		RunMAC(nw.G, source, p, optA)
+		runMACScalar(nw.G, source, p, optA)
 		trB := obs.NewTracer(1 << 14)
 		optB := opt
 		optB.Tracer = trB
@@ -237,47 +173,17 @@ func FuzzDESMACAgree(f *testing.F) {
 		n = nw.G.N()
 		p := Gossip{P: gp, Seed: seed + 1}
 		opt := MACOptions{Jitter: jitter, Seed: seed}
-		a := RunMAC(nw.G, 0, p, opt)
-		b := NewMACWorkspace().Run(nw.G, 0, p, opt).Materialize()
+		a := runMACScalar(nw.G, 0, p, opt)
+		b := RunMAC(nw.G, 0, p, opt)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("scalar and DES MAC runs differ:\n%+v\n%+v", a, b)
 		}
 	})
 }
 
-// FuzzDESIdealAgree cross-checks the scalar and calendar ideal engines
-// under fuzzer-chosen loss.
-func FuzzDESIdealAgree(f *testing.F) {
-	f.Add(uint64(1), 40, 8, float64(0.2), uint64(5))
-	f.Add(uint64(3), 70, 6, float64(0.0), uint64(1))
-	f.Fuzz(func(t *testing.T, topoSeed uint64, n, deg int, loss float64, seed uint64) {
-		if n < 5 || n > 120 || deg < 3 || deg > 14 || loss < 0 || loss > 0.9 {
-			t.Skip()
-		}
-		nw := randomNet(t, topoSeed, n, float64(deg))
-		opt := Options{Loss: loss, Seed: seed}
-		a := NewWorkspace().RunOpts(nw.G, 0, Flooding{}, opt).Materialize()
-		b := NewWorkspace().RunDESOpts(nw.G, 0, Flooding{}, opt).Materialize()
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("scalar and DES ideal runs differ:\n%+v\n%+v", a, b)
-		}
-	})
-}
-
-// TestDESIdealSteadyStateAllocs pins the zero-allocation contract of
-// the calendar event loop (ideal engine, alloc-free protocol).
-func TestDESIdealSteadyStateAllocs(t *testing.T) {
-	nw := randomNet(t, 9, 80, 8)
-	ws := NewWorkspace()
-	run := func() { ws.RunDESOpts(nw.G, 0, Flooding{}, Options{}) }
-	run()
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Fatalf("DES ideal event loop allocates %.1f/run, want 0", avg)
-	}
-}
-
-// TestDESMACSteadyStateAllocs pins the same contract for the MAC
-// engine's sequential path (the dense result is not materialized).
+// TestDESMACSteadyStateAllocs pins the zero-allocation contract of the
+// MAC engine's event loop (alloc-free protocol, dense result not
+// materialized).
 func TestDESMACSteadyStateAllocs(t *testing.T) {
 	nw := randomNet(t, 10, 80, 8)
 	mw := NewMACWorkspace()

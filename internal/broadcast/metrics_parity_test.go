@@ -1,7 +1,6 @@
 package broadcast
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,11 +10,15 @@ import (
 )
 
 // parityCounters are the whole-run totals every broadcast engine folds; an
-// engine swap (scalar ↔ calendar ↔ 64-wide batch) must leave them invariant.
+// engine swap (scalar ↔ 64-wide batch, slot-map oracle ↔ calendar MAC)
+// must leave them invariant.
 var parityCounters = []string{
 	"broadcast.runs", "broadcast.transmissions", "broadcast.deliveries",
 	"broadcast.duplicates", "broadcast.fault_dropped_copies",
 }
+
+// macCounters adds the collision totals the MAC engines fold.
+var macCounters = append([]string{"mac.collisions", "mac.lost_copies"}, parityCounters...)
 
 // counterTotals runs f with metrics enabled and returns how much each named
 // counter moved (the Default registry is shared across the test binary, so
@@ -37,9 +40,10 @@ func counterTotals(t *testing.T, names []string, f func()) map[string]int64 {
 }
 
 // TestMetricsParityScalarDESBatch: one 64-wide batch run folds exactly the
-// broadcast.* totals of its 64 scalar lane replays, and the calendar engine
-// folds the same totals as the scalar engine — for a deterministic protocol,
-// a lane-coin gossip, and a loss-chain fault spec.
+// broadcast.* totals of its 64 scalar lane replays, and the calendar MAC
+// engine folds the same broadcast.* and mac.* totals over those lanes as
+// its slot-map oracle — for a deterministic protocol, a lane-coin gossip,
+// and a loss-chain fault spec.
 func TestMetricsParityScalarDESBatch(t *testing.T) {
 	nw := randomNet(t, 91, 50, 8)
 	g := nw.G
@@ -74,12 +78,15 @@ func TestMetricsParityScalarDESBatch(t *testing.T) {
 					sw.RunOpts(g, 0, tc.proto.Lane(r), o)
 				}
 			})
-			des := counterTotals(t, parityCounters, func() {
-				var dw Workspace
-				for r, o := range laneOpts() {
-					dw.RunDESOpts(g, 0, tc.proto.Lane(r), o)
-				}
-			})
+			macLanes := func(run func(int, MACOptions)) map[string]int64 {
+				return counterTotals(t, macCounters, func() {
+					for r, o := range laneOpts() {
+						run(r, MACOptions{Jitter: 3, Seed: uint64(r), Faults: o.Faults})
+					}
+				})
+			}
+			macScalar := macLanes(func(r int, o MACOptions) { runMACScalar(g, 0, tc.proto.Lane(r), o) })
+			macDES := macLanes(func(r int, o MACOptions) { RunMAC(g, 0, tc.proto.Lane(r), o) })
 			batch := counterTotals(t, parityCounters, func() {
 				var opt BatchOptions
 				if tc.spec != nil {
@@ -88,8 +95,11 @@ func TestMetricsParityScalarDESBatch(t *testing.T) {
 				var bw BatchWorkspace
 				bw.Run(g, 0, tc.proto, opt)
 			})
-			if !reflect.DeepEqual(scalar, des) {
-				t.Fatalf("scalar %v != calendar %v", scalar, des)
+			if !reflect.DeepEqual(macScalar, macDES) {
+				t.Fatalf("MAC oracle %v != calendar %v", macScalar, macDES)
+			}
+			if macScalar["mac.collisions"] == 0 {
+				t.Fatal("MAC lanes exercised no contention")
 			}
 			if !reflect.DeepEqual(scalar, batch) {
 				t.Fatalf("scalar %v != batch %v", scalar, batch)
@@ -99,35 +109,6 @@ func TestMetricsParityScalarDESBatch(t *testing.T) {
 			}
 			if scalar["broadcast.deliveries"] == 0 {
 				t.Fatal("parity on all-zero totals proves nothing")
-			}
-		})
-	}
-}
-
-// TestMetricsParityMACWorkers: the sharded MAC calendar engine folds the
-// same mac.* and broadcast.* totals as the sequential scalar MAC engine for
-// every worker count — the shard exchange may reorder work but never
-// invents or loses an event.
-func TestMetricsParityMACWorkers(t *testing.T) {
-	nw := randomNet(t, 92, 60, 9)
-	g := nw.G
-	macCounters := append([]string{"mac.collisions", "mac.lost_copies"}, parityCounters...)
-	opt := MACOptions{Jitter: 3, Seed: 7}
-	want := counterTotals(t, macCounters, func() {
-		RunMAC(g, 0, Flooding{}, opt)
-	})
-	if want["mac.collisions"] == 0 && want["mac.lost_copies"] == 0 {
-		t.Fatal("baseline run exercised no MAC contention")
-	}
-	for w := 1; w <= 8; w++ {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			o := opt
-			o.Workers = w
-			got := counterTotals(t, macCounters, func() {
-				RunMACDES(g, 0, Flooding{}, o)
-			})
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d totals %v != scalar %v", w, got, want)
 			}
 		})
 	}

@@ -1,14 +1,15 @@
 package broadcast
 
 import (
-	"sort"
+	"slices"
 
+	"clustercast/internal/des"
 	"clustercast/internal/graph"
 	"clustercast/internal/obs"
 	"clustercast/internal/rng"
 )
 
-// Multi-source MAC metrics, folded once per RunMACMulti.
+// Multi-source MAC metrics, folded once per multi-source run.
 var (
 	mMultiRuns       = obs.NewCounter("mac.multi_runs")
 	mMultiFlows      = obs.NewCounter("mac.multi_flows")
@@ -114,156 +115,18 @@ type multiTx struct {
 //
 // opt.Seed is unused: each flow's jitter stream derives from its own Seed,
 // which is what makes a flow's randomness independent of which other flows
-// share the air. opt.Workers is ignored (the calendar port is sequential);
-// opt.Tracer and opt.Faults apply to the shared medium exactly as in
-// RunMAC.
+// share the air. opt.Tracer and opt.Faults apply to the shared medium
+// exactly as in RunMAC. It allocates a private workspace per call;
+// replicate loops may hold a MultiMACWorkspace instead.
 func RunMACMulti(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult {
-	res := &MultiResult{Flows: make([]*FlowResult, len(flows))}
-	if len(flows) == 0 {
-		return res
-	}
-
-	jitters := make([]rng.Stream, len(flows))
-	draw := func(fi int32) int {
-		if opt.Jitter <= 0 {
-			return 0
-		}
-		return jitters[fi].Intn(opt.Jitter + 1)
-	}
-
-	// Per-flow acted-payload sets, exactly RunMAC's per-node bookkeeping
-	// lifted to (flow, node).
-	acted := make([]map[int]map[Packet]bool, len(flows))
-	mark := func(fi int32, v int, pkt Packet) {
-		m := acted[fi][v]
-		if m == nil {
-			m = make(map[Packet]bool)
-			acted[fi][v] = m
-		}
-		m[pkt] = true
-	}
-
-	// slots[t] holds the transmissions scheduled for slot t; occ is the
-	// min-heap of occupied slots (see RunMAC).
-	slots := map[int][]multiTx{}
-	var occ []int
-	schedule := func(slot int, x multiTx) {
-		if len(slots[slot]) == 0 {
-			occ = append(occ, slot)
-			for i := len(occ) - 1; i > 0; { // sift up
-				p := (i - 1) / 2
-				if occ[p] <= occ[i] {
-					break
-				}
-				occ[p], occ[i] = occ[i], occ[p]
-				i = p
-			}
-		}
-		slots[slot] = append(slots[slot], x)
-	}
-	popSlot := func() int {
-		t := occ[0]
-		last := len(occ) - 1
-		occ[0] = occ[last]
-		occ = occ[:last]
-		for i := 0; ; { // sift down
-			c := 2*i + 1
-			if c >= last {
-				break
-			}
-			if c+1 < last && occ[c+1] < occ[c] {
-				c++
-			}
-			if occ[i] <= occ[c] {
-				break
-			}
-			occ[i], occ[c] = occ[c], occ[i]
-			i = c
-		}
-		return t
-	}
-
-	tr := opt.Tracer
-	if tr != nil {
-		tr.SetTime(0)
-	}
-	for i := range flows {
-		f := &flows[i]
-		fr := &FlowResult{Start: f.Start, DstSlot: -1}
-		fr.Result = Result{
-			Source:     f.Src,
-			Forwarders: map[int]bool{f.Src: true},
-			Received:   map[int]bool{f.Src: true},
-			Parent:     make(map[int]int),
-		}
-		if f.Dst == f.Src {
-			fr.DstSlot = f.Start
-		}
-		res.Flows[i] = fr
-		jitters[i].SeedLabeled(f.Seed, "mac-jitter")
-		acted[i] = make(map[int]map[Packet]bool)
-		start := f.Proto.Start(f.Src)
-		mark(int32(i), f.Src, start)
-		schedule(f.Start, multiTx{flow: int32(i), sender: int32(f.Src), trigger: -1, pkt: start})
-	}
-
-	fo := opt.Faults
-	for len(occ) > 0 {
-		t := popSlot()
-		batch := slots[t]
-		delete(slots, t)
-		if fo != nil {
-			// Crashed forwarders stay silent; their slot reservation lapses.
-			live := batch[:0]
-			for _, x := range batch {
-				if fo.NodeUp(int(x.sender), t) {
-					live = append(live, x)
-				}
-			}
-			batch = live
-		}
-		if tr != nil {
-			tr.SetTime(t + 1)
-			for _, x := range batch {
-				tr.Send(t, int(x.sender), int(x.trigger))
-			}
-		}
-		res.Transmissions += len(batch)
-
-		// Receiver-side resolution over the shared medium: every copy of
-		// every flow counts toward the same per-receiver tally.
-		heardBy := map[int][]int32{}
-		for bi, x := range batch {
-			for _, v := range g.Neighbors(int(x.sender)) {
-				if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(int(x.sender), v, t+1) ||
-					fo.CopyLost(int(x.sender), v, t+1)) {
-					continue // the copy faded before reaching v
-				}
-				heardBy[v] = append(heardBy[v], int32(bi))
-			}
-		}
-		receivers := make([]int, 0, len(heardBy))
-		for v := range heardBy {
-			receivers = append(receivers, v)
-		}
-		sort.Ints(receivers)
-		for _, v := range receivers {
-			copies := heardBy[v]
-			res.commit(g, flows, batch, t, v, copies, tr, func(fi int32) int { return draw(fi) },
-				func(fi int32, node int, pkt Packet) { mark(fi, node, pkt) },
-				func(fi int32, node int, pkt Packet) bool { return acted[fi][node][pkt] },
-				func(slot int, x multiTx) { schedule(slot, x) })
-		}
-	}
-
-	res.fold()
-	return res
+	var mw MultiMACWorkspace
+	return mw.Run(g, flows, opt)
 }
 
 // commit resolves one (receiver, slot) cell: the collision rule first,
-// then delivery/duplicate dispatch into the decoded copy's flow. Shared
-// verbatim by the scalar and calendar engines so their per-slot semantics
-// cannot drift.
+// then delivery/duplicate dispatch into the decoded copy's flow. The
+// slot-map reference in the package tests calls it too, so the two
+// engines' per-receiver semantics cannot drift.
 func (m *MultiResult) commit(g *graph.Graph, flows []MultiFlow, batch []multiTx, t, v int,
 	copies []int32, tr *obs.Tracer, draw func(int32) int,
 	mark func(int32, int, Packet), actedOn func(int32, int, Packet) bool,
@@ -361,4 +224,183 @@ func (m *MultiResult) fold() {
 	mMultiRuns.Inc()
 	mMultiFlows.Add(int64(len(m.Flows)))
 	mCrossCollisions.Add(int64(m.CrossCollisions))
+}
+
+// MultiMACWorkspace owns the state of the multi-source MAC engine.
+// Pending transmissions live in internal/des wheel buckets (flow starts
+// beyond the jitter window park in the wheel's far heap and promote in
+// push order, so a slot's batch order is its push order); receiver-side
+// resolution keeps per-slot epoch-stamped *copy lists* rather than the
+// single-source engine's (count, first) pair, because cross-flow
+// collision attribution needs to know which flow owned each destroyed
+// copy. Per-flow result state stays map-based, and the per-receiver
+// commit is shared with the slot-map reference in the package tests
+// (gated by TestMultiMACScalarDESEquivalence and the fuzz target).
+//
+// Not safe for concurrent use; give each worker its own.
+type MultiMACWorkspace struct {
+	wheel des.Wheel[multiTx]
+
+	// Per-slot epoch-stamped receiver state.
+	slotEpoch uint32
+	stamp     []uint32
+	copies    [][]int32 // batch indices heard by v this slot (append order)
+	touched   []int32   // receivers touched this slot (commit order after sort)
+
+	jitters []rng.Stream // one per flow, reseeded per run
+	acted   []map[int]map[Packet]bool
+}
+
+// NewMultiMACWorkspace returns an empty workspace; buffers grow on first
+// use.
+func NewMultiMACWorkspace() *MultiMACWorkspace { return &MultiMACWorkspace{} }
+
+// ensure sizes the per-receiver arrays and resets the per-flow state.
+func (mw *MultiMACWorkspace) ensure(n, nflows int) {
+	if cap(mw.stamp) < n {
+		mw.stamp = make([]uint32, n)
+		mw.copies = make([][]int32, n)
+		mw.slotEpoch = 0
+	}
+	mw.stamp = mw.stamp[:n]
+	mw.copies = mw.copies[:n]
+	if cap(mw.jitters) < nflows {
+		mw.jitters = make([]rng.Stream, nflows)
+		mw.acted = make([]map[int]map[Packet]bool, nflows)
+	}
+	mw.jitters = mw.jitters[:nflows]
+	mw.acted = mw.acted[:nflows]
+}
+
+// bumpSlot advances the per-slot receiver stamp (wrap-flushing).
+func (mw *MultiMACWorkspace) bumpSlot() {
+	mw.slotEpoch++
+	if mw.slotEpoch == 0 {
+		s := mw.stamp[:cap(mw.stamp)]
+		for i := range s {
+			s[i] = 0
+		}
+		mw.slotEpoch = 1
+	}
+}
+
+// hear records one copy of batch index bi reaching receiver v this slot,
+// returning true when v is newly touched.
+func (mw *MultiMACWorkspace) hear(v int, bi int32) bool {
+	fresh := mw.stamp[v] != mw.slotEpoch
+	if fresh {
+		mw.stamp[v] = mw.slotEpoch
+		mw.copies[v] = mw.copies[v][:0]
+	}
+	mw.copies[v] = append(mw.copies[v], bi)
+	return fresh
+}
+
+// Run simulates concurrently active broadcasts on the workspace (see
+// RunMACMulti; opt.Seed is ignored for the same reason).
+func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult {
+	res := &MultiResult{Flows: make([]*FlowResult, len(flows))}
+	if len(flows) == 0 {
+		return res
+	}
+	mw.ensure(g.N(), len(flows))
+
+	draw := func(fi int32) int {
+		if opt.Jitter <= 0 {
+			return 0
+		}
+		return mw.jitters[fi].Intn(opt.Jitter + 1)
+	}
+	mark := func(fi int32, v int, pkt Packet) {
+		m := mw.acted[fi][v]
+		if m == nil {
+			m = make(map[Packet]bool)
+			mw.acted[fi][v] = m
+		}
+		m[pkt] = true
+	}
+
+	tr := opt.Tracer
+	if tr != nil {
+		tr.SetTime(0)
+	}
+	w := &mw.wheel
+	w.Reset(opt.Jitter + 2) // forwards land in [t+1, t+1+Jitter]
+	for i := range flows {
+		f := &flows[i]
+		fr := &FlowResult{Start: f.Start, DstSlot: -1}
+		fr.Result = Result{
+			Source:     f.Src,
+			Forwarders: map[int]bool{f.Src: true},
+			Received:   map[int]bool{f.Src: true},
+			Parent:     make(map[int]int),
+		}
+		if f.Dst == f.Src {
+			fr.DstSlot = f.Start
+		}
+		res.Flows[i] = fr
+		mw.jitters[i].SeedLabeled(f.Seed, "mac-jitter")
+		mw.acted[i] = make(map[int]map[Packet]bool)
+		start := f.Proto.Start(f.Src)
+		mark(int32(i), f.Src, start)
+		w.Push(f.Start, multiTx{flow: int32(i), sender: int32(f.Src), trigger: -1, pkt: start})
+	}
+
+	fo := opt.Faults
+	for w.Len() > 0 {
+		t := w.OpenSlot()
+		batch := w.Bucket() // MAC never pushes into its own slot
+		if fo != nil {
+			// Crashed forwarders stay silent; their slot reservation lapses.
+			live := batch[:0]
+			for _, x := range batch {
+				if fo.NodeUp(int(x.sender), t) {
+					live = append(live, x)
+				}
+			}
+			batch = live
+		}
+		if tr != nil {
+			tr.SetTime(t + 1)
+			for _, x := range batch {
+				tr.Send(t, int(x.sender), int(x.trigger))
+			}
+		}
+		res.Transmissions += len(batch)
+
+		// Receiver-side resolution over the shared medium: each receiver's
+		// copy list in batch order.
+		mw.bumpSlot()
+		mw.touched = mw.touched[:0]
+		for bi, x := range batch {
+			for _, v := range g.Neighbors(int(x.sender)) {
+				if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(int(x.sender), v, t+1) ||
+					fo.CopyLost(int(x.sender), v, t+1)) {
+					continue // the copy faded before reaching v
+				}
+				if mw.hear(v, int32(bi)) {
+					mw.touched = append(mw.touched, int32(v))
+				}
+			}
+		}
+		slices.Sort(mw.touched)
+
+		// Commit: receivers in ascending ID order through the shared
+		// per-receiver resolution.
+		for _, v32 := range mw.touched {
+			v := int(v32)
+			res.commit(g, flows, batch, t, v, mw.copies[v], tr, draw,
+				mark,
+				func(fi int32, node int, pkt Packet) bool { return mw.acted[fi][node][pkt] },
+				func(slot int, x multiTx) { w.Push(slot, x) })
+		}
+		w.CloseSlot()
+	}
+	w.FoldStats()
+	for i := range mw.acted {
+		mw.acted[i] = nil // release per-run maps; sizes vary run to run
+	}
+
+	res.fold()
+	return res
 }

@@ -81,7 +81,6 @@ func TestMultiMACMetricsParitySerialized(t *testing.T) {
 	n := nw.G.N()
 	p := Gossip{P: 0.7, Seed: 19}
 	flows := multiFlows(n, 6, n*4+10, p)
-	macCounters := append([]string{"mac.collisions", "mac.lost_copies"}, parityCounters...)
 	want := counterTotals(t, macCounters, func() {
 		for _, f := range flows {
 			RunMAC(nw.G, f.Src, p, MACOptions{Jitter: 2, Seed: f.Seed})
@@ -98,10 +97,9 @@ func TestMultiMACMetricsParitySerialized(t *testing.T) {
 	}
 }
 
-// TestMultiMACScalarDESEquivalence pins the calendar port to the scalar
-// multi-source engine across overlapping flow schedules, jitter windows,
-// fault oracles, and worker counts (the port is sequential; Workers must
-// not change results), including the typed trace stream.
+// TestMultiMACScalarDESEquivalence pins the calendar multi-source engine
+// to its slot-map oracle across overlapping flow schedules, jitter
+// windows and fault oracles, including the typed trace stream.
 func TestMultiMACScalarDESEquivalence(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 800+uint64(trial), 40+10*trial, 9)
@@ -121,22 +119,20 @@ func TestMultiMACScalarDESEquivalence(t *testing.T) {
 					if withFaults {
 						optA.Faults = burstOracle(t, n, uint64(70+trial))
 					}
-					a := RunMACMulti(nw.G, flows, optA)
-					for _, workers := range []int{0, 1, 4, 8} {
-						trB := obs.NewTracer(1 << 14)
-						optB := MACOptions{Jitter: jit, Tracer: trB, Workers: workers}
-						if withFaults {
-							optB.Faults = burstOracle(t, n, uint64(70+trial))
-						}
-						b := NewMultiMACWorkspace().Run(nw.G, flows, optB)
-						if !reflect.DeepEqual(a, b) {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: scalar and DES multi-source runs differ:\n%+v\n%+v",
-								trial, p.Name(), jit, withFaults, workers, a, b)
-						}
-						if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: trace streams differ",
-								trial, p.Name(), jit, withFaults, workers)
-						}
+					a := runMACMultiScalar(nw.G, flows, optA)
+					trB := obs.NewTracer(1 << 14)
+					optB := MACOptions{Jitter: jit, Tracer: trB}
+					if withFaults {
+						optB.Faults = burstOracle(t, n, uint64(70+trial))
+					}
+					b := RunMACMulti(nw.G, flows, optB)
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("trial %d %s jit=%d faults=%v: scalar and DES multi-source runs differ:\n%+v\n%+v",
+							trial, p.Name(), jit, withFaults, a, b)
+					}
+					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
+						t.Fatalf("trial %d %s jit=%d faults=%v: trace streams differ",
+							trial, p.Name(), jit, withFaults)
 					}
 				}
 			}
@@ -228,8 +224,8 @@ func TestMultiMACDstSlot(t *testing.T) {
 	}
 }
 
-// FuzzMultiMACScalarDESAgree cross-checks the scalar and calendar
-// multi-source engines on fuzzer-chosen flow schedules.
+// FuzzMultiMACScalarDESAgree cross-checks the calendar multi-source
+// engine against its slot-map oracle on fuzzer-chosen flow schedules.
 func FuzzMultiMACScalarDESAgree(f *testing.F) {
 	f.Add(uint64(1), 40, 8, 3, 4, 2, uint64(9))
 	f.Add(uint64(7), 25, 6, 0, 2, 0, uint64(2))
@@ -253,8 +249,8 @@ func FuzzMultiMACScalarDESAgree(f *testing.F) {
 			}
 		}
 		opt := MACOptions{Jitter: jitter}
-		a := RunMACMulti(nw.G, flows, opt)
-		b := RunMACMultiDES(nw.G, flows, opt)
+		a := runMACMultiScalar(nw.G, flows, opt)
+		b := RunMACMulti(nw.G, flows, opt)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("scalar and DES multi-source runs differ:\n%+v\n%+v", a, b)
 		}
@@ -265,8 +261,8 @@ func FuzzMultiMACScalarDESAgree(f *testing.F) {
 func TestMultiMACEmptyFlows(t *testing.T) {
 	g := pathGraph(3)
 	for name, run := range map[string]func() *MultiResult{
-		"scalar": func() *MultiResult { return RunMACMulti(g, nil, MACOptions{}) },
-		"des":    func() *MultiResult { return RunMACMultiDES(g, nil, MACOptions{}) },
+		"scalar": func() *MultiResult { return runMACMultiScalar(g, nil, MACOptions{}) },
+		"des":    func() *MultiResult { return RunMACMulti(g, nil, MACOptions{}) },
 	} {
 		res := run()
 		if len(res.Flows) != 0 || res.Transmissions != 0 || res.Makespan != 0 {
@@ -289,7 +285,7 @@ func TestMultiMACWorkspaceReuse(t *testing.T) {
 		got := mw.Run(nw.G, flows, MACOptions{Jitter: trial % 4})
 		want := RunMACMulti(nw.G, flows, MACOptions{Jitter: trial % 4})
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: reused workspace diverged from scalar run", trial)
+			t.Fatalf("trial %d: reused workspace diverged from a fresh run", trial)
 		}
 	}
 }
@@ -298,21 +294,11 @@ func BenchmarkMultiMAC(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		nw := randomNet(b, uint64(n), n, 10)
 		flows := multiFlows(nw.G.N(), 8, 2, Flooding{})
-		for _, eng := range []struct {
-			name string
-			run  func()
-		}{
-			{"scalar", func() { RunMACMulti(nw.G, flows, MACOptions{Jitter: 4}) }},
-			{"des", func() {
-				mw := NewMultiMACWorkspace()
+		mw := NewMultiMACWorkspace()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
 				mw.Run(nw.G, flows, MACOptions{Jitter: 4})
-			}},
-		} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, eng.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng.run()
-				}
-			})
-		}
+			}
+		})
 	}
 }

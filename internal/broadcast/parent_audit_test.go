@@ -53,8 +53,8 @@ func auditParentChains(t *testing.T, g *graph.Graph, engine string, res *Result)
 }
 
 // TestParentChainAudit runs the delivery-tree contract against every
-// engine — scalar and calendar, ideal/lossy/faulted/timed/MAC/multi-MAC —
-// over random topologies and protocols.
+// engine — ideal/lossy/faulted/timed/MAC/multi-MAC, plus the scalar
+// oracles of the calendar engines — over random topologies and protocols.
 func TestParentChainAudit(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 1100+uint64(trial), 40+10*trial, 8)
@@ -78,8 +78,6 @@ func TestParentChainAudit(t *testing.T) {
 			lossy := Options{Loss: 0.2, Seed: uint64(trial)}
 			add("RunOpts-lossy/"+p.Name(),
 				NewWorkspace().RunOpts(nw.G, source, p, lossy).Materialize())
-			add("RunDESOpts-lossy/"+p.Name(),
-				NewWorkspace().RunDESOpts(nw.G, source, p, lossy).Materialize())
 
 			faulted := Options{Faults: burstOracle(t, n, uint64(20+trial))}
 			add("RunOpts-faults/"+p.Name(),
@@ -87,7 +85,7 @@ func TestParentChainAudit(t *testing.T) {
 
 			mac := MACOptions{Jitter: 3, Seed: uint64(trial)}
 			add("RunMAC/"+p.Name(), &RunMAC(nw.G, source, p, mac).Result)
-			add("RunMACDES/"+p.Name(), &RunMACDES(nw.G, source, p, mac).Result)
+			add("runMACScalar/"+p.Name(), &runMACScalar(nw.G, source, p, mac).Result)
 			macF := MACOptions{Jitter: 2, Seed: uint64(trial), Faults: burstOracle(t, n, uint64(30+trial))}
 			add("RunMAC-faults/"+p.Name(), &RunMAC(nw.G, source, p, macF).Result)
 
@@ -98,8 +96,8 @@ func TestParentChainAudit(t *testing.T) {
 				}
 				auditParentChains(t, nw.G, "RunMACMulti/"+p.Name(), &fr.Result)
 			}
-			for _, fr := range RunMACMultiDES(nw.G, flows, MACOptions{Jitter: 2}).Flows {
-				auditParentChains(t, nw.G, "RunMACMultiDES/"+p.Name(), &fr.Result)
+			for _, fr := range runMACMultiScalar(nw.G, flows, MACOptions{Jitter: 2}).Flows {
+				auditParentChains(t, nw.G, "runMACMultiScalar/"+p.Name(), &fr.Result)
 			}
 		}
 
@@ -109,7 +107,7 @@ func TestParentChainAudit(t *testing.T) {
 			CounterBased{Threshold: 3, MaxDelay: 5, Seed: 23},
 		} {
 			add("RunTimed/"+tp.Name(), RunTimedOpts(nw.G, source, tp, TimedOptions{}))
-			add("RunTimedDES/"+tp.Name(), NewTimedWorkspace().Run(nw.G, source, tp, TimedOptions{}))
+			add("runTimedScalar/"+tp.Name(), runTimedScalar(nw.G, source, tp, TimedOptions{}))
 			tf := TimedOptions{Faults: burstOracle(t, n, uint64(40+trial))}
 			add("RunTimed-faults/"+tp.Name(), RunTimedOpts(nw.G, source, tp, tf))
 		}
@@ -130,8 +128,8 @@ func TestCollidedDeliveriesRecordNoParent(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
 	for name, res := range map[string]*CollisionResult{
-		"scalar": RunMAC(g, 0, Flooding{}, MACOptions{}),
-		"des":    RunMACDES(g, 0, Flooding{}, MACOptions{}),
+		"scalar": runMACScalar(g, 0, Flooding{}, MACOptions{}),
+		"des":    RunMAC(g, 0, Flooding{}, MACOptions{}),
 	} {
 		if res.Received[3] {
 			t.Fatalf("%s: node 3 decoded through a guaranteed collision", name)
@@ -145,10 +143,11 @@ func TestCollidedDeliveriesRecordNoParent(t *testing.T) {
 	}
 }
 
-// FuzzParentScalarDESAgree pins the scalar and calendar Parent maps
-// bit-identical on fuzzer-chosen points for the ideal, lossy, and MAC
-// engines — the delivery tree, not just the delivery set, is part of the
-// equivalence contract (routes are extracted from it).
+// FuzzParentScalarDESAgree pins the calendar MAC engines' Parent maps
+// bit-identical to their scalar oracles on fuzzer-chosen points, and
+// audits the ideal/lossy engine's delivery tree — the tree, not just the
+// delivery set, is part of the equivalence contract (routes are
+// extracted from it).
 func FuzzParentScalarDESAgree(f *testing.F) {
 	f.Add(uint64(1), 40, 8, 3, uint64(9), float64(0.2))
 	f.Add(uint64(7), 25, 6, 0, uint64(2), float64(0.0))
@@ -163,15 +162,11 @@ func FuzzParentScalarDESAgree(f *testing.F) {
 
 		opt := Options{Loss: loss, Seed: seed}
 		a := NewWorkspace().RunOpts(nw.G, 0, p, opt).Materialize()
-		b := NewWorkspace().RunDESOpts(nw.G, 0, p, opt).Materialize()
-		if !reflect.DeepEqual(a.Parent, b.Parent) {
-			t.Fatalf("ideal/lossy Parent maps differ:\n%v\n%v", a.Parent, b.Parent)
-		}
 		auditParentChains(t, nw.G, "fuzz-ideal", a)
 
 		mo := MACOptions{Jitter: jitter, Seed: seed}
-		ma := RunMAC(nw.G, 0, p, mo)
-		mb := RunMACDES(nw.G, 0, p, mo)
+		ma := runMACScalar(nw.G, 0, p, mo)
+		mb := RunMAC(nw.G, 0, p, mo)
 		if !reflect.DeepEqual(ma.Parent, mb.Parent) {
 			t.Fatalf("MAC Parent maps differ:\n%v\n%v", ma.Parent, mb.Parent)
 		}
@@ -181,8 +176,8 @@ func FuzzParentScalarDESAgree(f *testing.F) {
 			{Src: 0, Dst: nn - 1, Start: 0, Seed: seed, Proto: p},
 			{Src: nn / 2, Dst: 1 % nn, Start: 1, Seed: seed + 2, Proto: p},
 		}
-		wa := RunMACMulti(nw.G, flows, MACOptions{Jitter: jitter})
-		wb := RunMACMultiDES(nw.G, flows, MACOptions{Jitter: jitter})
+		wa := runMACMultiScalar(nw.G, flows, MACOptions{Jitter: jitter})
+		wb := RunMACMulti(nw.G, flows, MACOptions{Jitter: jitter})
 		for i := range flows {
 			if !reflect.DeepEqual(wa.Flows[i].Parent, wb.Flows[i].Parent) {
 				t.Fatalf("multi flow %d Parent maps differ:\n%v\n%v",

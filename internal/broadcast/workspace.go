@@ -1,7 +1,6 @@
 package broadcast
 
 import (
-	"clustercast/internal/des"
 	"clustercast/internal/graph"
 	"clustercast/internal/rng"
 )
@@ -24,7 +23,6 @@ type Workspace struct {
 	parent    []int    // first-delivery sender, valid when received
 	acted     [][]Packet
 	queue     []transmission
-	wheel     des.Wheel[transmission] // RunDESOpts event calendar
 	res       WSResult
 }
 

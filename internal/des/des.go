@@ -8,10 +8,9 @@
 //
 //  1. Bit-identical replay of the scalar reference engines. The wheel
 //     dequeues events in (slot, push order), exactly the (time, seq)
-//     order of the reference heap in broadcast.RunTimed and the FIFO
-//     order of broadcast.Run; the shard exchange concatenates mailboxes
-//     in a fixed shard order so results do not depend on the worker
-//     count.
+//     order of a binary heap with a FIFO tie-break; the shard exchange
+//     concatenates mailboxes in a fixed shard order so results do not
+//     depend on the worker count.
 //  2. Zero steady-state allocations. Buckets, mailboxes, and scratch are
 //     pooled and reused across runs (epoch-stamped or length-reset, in
 //     the style of the coverage/backbone scratch); the event loop itself
@@ -22,10 +21,13 @@
 //     beyond the wheel's window park in a small overflow heap until the
 //     window reaches them.
 //
-// The engines ported onto this package (broadcast.RunDESOpts,
-// broadcast.TimedDES, broadcast.MACDES, sim.RunDES) each keep their
-// scalar counterpart as the golden reference, gated by equivalence and
-// fuzz tests.
+// The wheel drives the production engines of the timed, slotted-MAC and
+// multi-source MAC broadcast models (broadcast.TimedWorkspace,
+// broadcast.MACWorkspace, broadcast.MultiMACWorkspace); the shard
+// exchange drives the parallel construction paths (topology, cluster,
+// coverage and dynamicb). Each engine's scalar map-and-heap loop survives
+// in its package's tests as the oracle of the equivalence and fuzz
+// suites.
 package des
 
 import "clustercast/internal/obs"

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"clustercast/internal/stats"
@@ -9,45 +11,37 @@ import (
 // desRule keeps the figure bit-identity sweeps cheap but multi-replicate.
 var desRule = stats.StopRule{Confidence: 0.95, RelHalfWidth: 0.5, MinReplicates: 12, MaxReplicates: 12}
 
-// withDES runs f with the calendar engines enabled and restores the
-// default afterwards (the toggle is process-global, like Parallelism).
-func withDES(t *testing.T, f func()) {
-	t.Helper()
-	SetDES(true)
-	defer SetDES(false)
-	f()
+// csvDigest is the first 16 hex digits of a CSV's SHA-256.
+func csvDigest(csv string) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(csv)))[:16]
 }
 
 // TestDESFiguresBitIdentical is the figure-level gate of the calendar
-// port: with the opt-in on, every figure whose estimators run a ported
-// engine — ideal radio (Lossy, Fig8), gossip under loss, the timed
-// broadcast-storm suppressors (Storm), the slotted MAC (Collision) and
-// the construction wire protocol (MessageComplexity) — must produce CSV
-// output byte-identical to the scalar engines, at any worker count.
+// engines: every figure whose estimators run an event-driven engine —
+// the ideal radio (Lossy, Fig8), gossip under loss, the timed
+// broadcast-storm suppressors (Storm), the slotted MAC (Collision), the
+// construction wire protocol (MessageComplexity) and the fault sweep —
+// must produce the CSV bytes recorded when the scalar loops were the
+// production engines, at any worker count.
 func TestDESFiguresBitIdentical(t *testing.T) {
-	figs := map[string]func() *Figure{
-		"lossy":  func() *Figure { return Lossy([]float64{0, 0.25}, 25, 8, 19, desRule) },
-		"gossip": func() *Figure { return GossipAblation([]float64{0.5, 0.8}, []float64{0, 0.2}, 25, 8, 19, desRule) },
-		"storm":  func() *Figure { return Storm([]float64{8, 14}, 25, 19, desRule) },
-		"coll":   func() *Figure { return Collision([]float64{8, 14}, 25, 6, 19, desRule) },
-		"msg":    func() *Figure { return MessageComplexity([]int{20, 35}, 6, 19, desRule) },
-		"fig8":   func() *Figure { return Fig8(8, []int{20, 30}, 19, desRule) },
-		"faults": func() *Figure { return Faults([]float64{0, 0.5}, 25, 8, 19, desRule) },
+	figs := map[string]struct {
+		mk   func() *Figure
+		want string
+	}{
+		"lossy":  {func() *Figure { return Lossy([]float64{0, 0.25}, 25, 8, 19, desRule) }, "ce97ce37f9181aae"},
+		"gossip": {func() *Figure { return GossipAblation([]float64{0.5, 0.8}, []float64{0, 0.2}, 25, 8, 19, desRule) }, "114ea69270ffb796"},
+		"storm":  {func() *Figure { return Storm([]float64{8, 14}, 25, 19, desRule) }, "20abf1a2f9d02ffb"},
+		"coll":   {func() *Figure { return Collision([]float64{8, 14}, 25, 6, 19, desRule) }, "2d7ef97e12f29169"},
+		"msg":    {func() *Figure { return MessageComplexity([]int{20, 35}, 6, 19, desRule) }, "936b8b473d2362f1"},
+		"fig8":   {func() *Figure { return Fig8(8, []int{20, 30}, 19, desRule) }, "0464ed081df2060f"},
+		"faults": {func() *Figure { return Faults([]float64{0, 0.5}, 25, 8, 19, desRule) }, "029b3a16bea39d50"},
 	}
 	defer SetParallelism(0)
-	for name, mk := range figs {
-		SetParallelism(1)
-		want := mk().CSV()
+	for name, f := range figs {
 		for _, workers := range []int{1, 4, 8} {
 			SetParallelism(workers)
-			withDES(t, func() {
-				if got := mk().CSV(); got != want {
-					t.Errorf("%s: CSV differs from scalar with DES on at %d workers", name, workers)
-				}
-			})
-			// The toggle itself must be a no-op for scalar reruns too.
-			if got := mk().CSV(); got != want {
-				t.Errorf("%s: scalar CSV not worker-invariant at %d workers", name, workers)
+			if got := csvDigest(f.mk().CSV()); got != f.want {
+				t.Errorf("%s: CSV digest %s at %d workers, recorded %s", name, got, workers, f.want)
 			}
 		}
 	}

@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,8 +79,11 @@ func (s *Spec) Enabled() bool {
 // burstLen slots (the bad state always loses, the good state never does).
 // burstLen == 1 degenerates to i.i.d. loss of rate p.
 func (s *Spec) SetBurst(p, burstLen float64) error {
-	if p < 0 || p >= 1 {
+	if !(p >= 0 && p < 1) { // also rejects NaN
 		return fmt.Errorf("faults: burst loss rate %g out of [0, 1)", p)
+	}
+	if err := finite("burst length", burstLen); err != nil {
+		return err
 	}
 	if burstLen < 1 {
 		return fmt.Errorf("faults: burst length %g < 1", burstLen)
@@ -91,8 +95,28 @@ func (s *Spec) SetBurst(p, burstLen float64) error {
 	return nil
 }
 
-// Validate checks the spec's parameter ranges.
+// finite rejects NaN, which passes every ordered range check, and ±Inf.
+func finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("faults: %s = %g is not a finite number", name, v)
+	}
+	return nil
+}
+
+// Validate checks the spec's parameter ranges. Every float field must be
+// finite, and the churn means must not be negative.
 func (s *Spec) Validate() error {
+	for _, m := range [...]struct {
+		name string
+		v    float64
+	}{{"MeanUp (mtbf)", s.MeanUp}, {"MeanDown (mttr)", s.MeanDown}} {
+		if err := finite(m.name, m.v); err != nil {
+			return err
+		}
+		if m.v < 0 {
+			return fmt.Errorf("faults: %s = %g is negative", m.name, m.v)
+		}
+	}
 	if s.MeanUp > 0 && s.MeanDown <= 0 {
 		return fmt.Errorf("faults: churn needs MeanDown > 0 (got %g)", s.MeanDown)
 	}
@@ -103,7 +127,7 @@ func (s *Spec) Validate() error {
 		{"LossGood", s.LossGood}, {"LossBad", s.LossBad},
 		{"PGoodBad", s.PGoodBad}, {"PBadGood", s.PBadGood},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // also rejects NaN
 			return fmt.Errorf("faults: %s = %g out of [0, 1]", p.name, p.v)
 		}
 	}
@@ -113,6 +137,9 @@ func (s *Spec) Validate() error {
 	for _, pt := range s.Partitions {
 		if pt.End <= pt.Start {
 			return fmt.Errorf("faults: partition window [%d, %d) is empty", pt.Start, pt.End)
+		}
+		if err := finite("partition coordinate", pt.Coord); err != nil {
+			return err
 		}
 	}
 	if s.Warmup < 0 {

@@ -48,6 +48,13 @@ func TestParseSpecDefaultsAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"nope=1", "mtbf", "loss=2", "pgb=0.1",
 		"part=1:1:x:5", "part=1:2:z:5", "burst=0.5", "warmup=-3",
+		// Non-finite values pass every ordered comparison (NaN) or slip
+		// through as "never" (Inf); negative churn means disabled churn
+		// silently.
+		"mtbf=NaN", "mtbf=Inf", "mtbf=-1", "mtbf=100,mttr=NaN", "mtbf=100,mttr=-Inf",
+		"mttr=-5", "loss=NaN", "lg=NaN", "lb=NaN", "pgb=NaN", "pbg=NaN",
+		"burst=NaN:3", "burst=0.2:NaN", "burst=0.2:Inf",
+		"part=0:10:x:NaN", "part=0:10:y:Inf", "part=0:10:x:-Inf",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)

@@ -85,8 +85,10 @@ func TestDiscoverOptsDispatchesMAC(t *testing.T) {
 	}
 }
 
-// TestDiscoverOptsScalarDESAgree: the calendar dispatch returns
-// bit-identical routes to the scalar engines for both radio models.
+// TestDiscoverOptsScalarDESAgree: DiscoverOpts dispatches to the engine
+// its Options select — the returned route is bit-identical to
+// ExtractRoute over a direct run of that engine, for the ideal, lossy
+// and slotted-MAC models.
 func TestDiscoverOptsScalarDESAgree(t *testing.T) {
 	r := rng.New(21)
 	nw, err := topology.Generate(topology.Config{
@@ -104,16 +106,25 @@ func TestDiscoverOptsScalarDESAgree(t *testing.T) {
 	}
 	for trial := 0; trial < 8; trial++ {
 		src, dst := r.Intn(n), r.Intn(n)
+		if src == dst {
+			continue // DiscoverOpts short-circuits before any flood
+		}
 		for _, o := range opts {
-			oDES := o
-			oDES.DES = true
+			var res *broadcast.Result
+			if o.MAC {
+				res = &broadcast.RunMAC(nw.G, src, broadcast.Flooding{},
+					broadcast.MACOptions{Jitter: o.Jitter, Seed: o.Seed}).Result
+			} else {
+				res = broadcast.RunOpts(nw.G, src, broadcast.Flooding{},
+					broadcast.Options{Loss: o.Loss, Seed: o.Seed})
+			}
 			a, errA := DiscoverOpts(nw.G, src, dst, broadcast.Flooding{}, o, nil)
-			b, errB := DiscoverOpts(nw.G, src, dst, broadcast.Flooding{}, oDES, nil)
+			b, errB := ExtractRoute(nw.G, src, dst, res, res.ForwardCount())
 			if (errA == nil) != (errB == nil) {
-				t.Fatalf("trial %d opts %+v: scalar err %v, DES err %v", trial, o, errA, errB)
+				t.Fatalf("trial %d opts %+v: DiscoverOpts err %v, direct err %v", trial, o, errA, errB)
 			}
 			if errA == nil && !reflect.DeepEqual(a, b) {
-				t.Fatalf("trial %d opts %+v: scalar route %+v != DES route %+v", trial, o, a, b)
+				t.Fatalf("trial %d opts %+v: DiscoverOpts route %+v != direct route %+v", trial, o, a, b)
 			}
 		}
 	}
@@ -153,7 +164,7 @@ func TestDiscoverOptsPartitionRegression(t *testing.T) {
 		for _, o := range []Options{
 			{MAC: true, Jitter: 2, Seed: uint64(trial)},
 			{Loss: 0.05, Seed: uint64(trial)},
-			{MAC: true, Jitter: 2, Seed: uint64(trial), DES: true},
+			{MAC: true, Jitter: 4, Seed: uint64(trial) + 100},
 		} {
 			route, err := DiscoverOpts(nw.G, src, dst, broadcast.Flooding{}, o, fo)
 			if err != nil {

@@ -11,10 +11,10 @@ import (
 	"clustercast/internal/topology"
 )
 
-// sameOutcome demands bit-identical results from Run and RunDES. All
-// fields compare with DeepEqual except the Coverage sets: HybridSet
-// retains its sparse remnant after dense promotion and the scalar Run's
-// C³ inserts in map-iteration order, so C²/C³ compare semantically
+// sameOutcome demands bit-identical results from the runRounds oracle
+// and Run. All fields compare with DeepEqual except the Coverage sets:
+// HybridSet retains its sparse remnant after dense promotion and the
+// oracle's C³ inserts in map-iteration order, so C²/C³ compare semantically
 // (Equal) while the derived Conns layout — which both engines emit fully
 // sorted — still compares structurally.
 func sameOutcome(t *testing.T, label string, a, b *Outcome) {
@@ -85,7 +85,7 @@ func TestDESSimEquivalence(t *testing.T) {
 	for name, g := range graphs {
 		for _, mode := range []coverage.Mode{coverage.Hop25, coverage.Hop3} {
 			label := name + "/" + mode.String()
-			sameOutcome(t, label, Run(g, mode), RunDES(g, mode))
+			sameOutcome(t, label, runRounds(g, mode), Run(g, mode))
 		}
 	}
 }
@@ -95,7 +95,7 @@ func TestDESSimEquivalence(t *testing.T) {
 // of rounds (every counted round has at least one sender).
 func TestActivePerRoundInvariants(t *testing.T) {
 	g := paperGraph()
-	for _, out := range []*Outcome{Run(g, coverage.Hop25), RunDES(g, coverage.Hop25)} {
+	for _, out := range []*Outcome{runRounds(g, coverage.Hop25), Run(g, coverage.Hop25)} {
 		c := out.Counters
 		if len(c.ActivePerRound) != c.Rounds {
 			t.Fatalf("len(ActivePerRound)=%d, Rounds=%d", len(c.ActivePerRound), c.Rounds)
@@ -134,6 +134,6 @@ func FuzzDESSimAgree(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		sameOutcome(t, "fuzz", Run(nw.G, mode), RunDES(nw.G, mode))
+		sameOutcome(t, "fuzz", runRounds(nw.G, mode), Run(nw.G, mode))
 	})
 }

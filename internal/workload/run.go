@@ -20,8 +20,9 @@ var (
 	progFlows   = obs.NewProgress("workload.flows")
 )
 
-// Engine runs one multi-source MAC scenario — broadcast.RunMACMulti or
-// its calendar port RunMACMultiDES (or a workspace-bound closure).
+// Engine runs one multi-source MAC scenario: broadcast.RunMACMulti, or
+// the Run method of a held broadcast.MultiMACWorkspace. nil selects
+// broadcast.RunMACMulti.
 type Engine func(g *graph.Graph, flows []broadcast.MultiFlow, opt broadcast.MACOptions) *broadcast.MultiResult
 
 // ProtoFactory returns the protocol instance flow i broadcasts with.

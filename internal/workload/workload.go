@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -82,6 +83,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.FanOut < 0 {
 		return fmt.Errorf("workload: FanOut = %d, want >= 0", s.FanOut)
+	}
+	if math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) {
+		return fmt.Errorf("workload: Rate = %g is not a finite number", s.Rate)
 	}
 	switch s.Process {
 	case Poisson:

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -102,6 +103,9 @@ func TestSpecValidate(t *testing.T) {
 		{Process: Bursty, Burst: 5, Every: 0, Flows: 5},
 		{Process: Process(7), Flows: 5},
 		{Process: Poisson, Rate: 1, Flows: 5, FanOut: -1},
+		{Process: Poisson, Rate: math.NaN(), Flows: 5},
+		{Process: Poisson, Rate: math.Inf(1), Flows: 5},
+		{Process: Bursty, Rate: math.NaN(), Burst: 2, Every: 5, Flows: 5},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -132,7 +136,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if _, err := ParseSpec(""); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
-	for _, bad := range []string{"nope", "proc=martian", "rate=x", "flows=0"} {
+	for _, bad := range []string{"nope", "proc=martian", "rate=x", "flows=0",
+		"rate=NaN,flows=4", "rate=Inf,flows=4", "rate=-Inf,flows=4", "proc=bursty,burst=2,every=5,rate=NaN"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec accepted %q", bad)
 		}
@@ -140,7 +145,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 }
 
 // TestRunTrafficScalarDESIdentical: the traffic runner reports identical
-// aggregates whichever engine drives it.
+// aggregates whether the engine allocates per run (broadcast.RunMACMulti)
+// or reuses a held workspace.
 func TestRunTrafficScalarDESIdentical(t *testing.T) {
 	nw := testNet(t, 5, 50, 9)
 	spec := Spec{Process: Poisson, Rate: 0.5, Flows: 24, FanOut: 2, Seed: 11}
@@ -150,10 +156,12 @@ func TestRunTrafficScalarDESIdentical(t *testing.T) {
 	}
 	proto := func(int) broadcast.Protocol { return broadcast.Flooding{} }
 	opt := broadcast.MACOptions{Jitter: 3}
+	held := broadcast.NewMultiMACWorkspace().Run
+	RunTraffic(nw.G, flows, proto, opt, held) // dirty the workspace first
 	a := RunTraffic(nw.G, flows, proto, opt, broadcast.RunMACMulti)
-	b := RunTraffic(nw.G, flows, proto, opt, broadcast.RunMACMultiDES)
+	b := RunTraffic(nw.G, flows, proto, opt, held)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("scalar and DES traffic aggregates differ:\n%+v\n%+v", a, b)
+		t.Fatalf("fresh and held-workspace traffic aggregates differ:\n%+v\n%+v", a, b)
 	}
 	if a.Flows != len(flows) || a.Transmissions == 0 || a.DeliveryRatio <= 0 {
 		t.Fatalf("traffic run did no work: %+v", a)
@@ -170,10 +178,12 @@ func TestRunDiscoveryScalarDESIdentical(t *testing.T) {
 	}
 	proto := func(int) broadcast.Protocol { return broadcast.Flooding{} }
 	opt := broadcast.MACOptions{Jitter: 4}
+	held := broadcast.NewMultiMACWorkspace().Run
+	RunDiscovery(nw.G, flows, proto, opt, held) // dirty the workspace first
 	a := RunDiscovery(nw.G, flows, proto, opt, broadcast.RunMACMulti)
-	b := RunDiscovery(nw.G, flows, proto, opt, broadcast.RunMACMultiDES)
+	b := RunDiscovery(nw.G, flows, proto, opt, held)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("scalar and DES discovery aggregates differ:\n%+v\n%+v", a, b)
+		t.Fatalf("fresh and held-workspace discovery aggregates differ:\n%+v\n%+v", a, b)
 	}
 	if a.Requests != len(flows) {
 		t.Fatalf("discovery run offered %d requests, want %d", a.Requests, len(flows))
@@ -186,8 +196,8 @@ func TestRunDiscoveryScalarDESIdentical(t *testing.T) {
 	}
 }
 
-// TestRunTrafficDefaultEngine: a nil engine falls back to the scalar
-// reference.
+// TestRunTrafficDefaultEngine: a nil engine falls back to
+// broadcast.RunMACMulti.
 func TestRunTrafficDefaultEngine(t *testing.T) {
 	nw := testNet(t, 7, 30, 8)
 	spec := DefaultSpec(3)
@@ -200,6 +210,6 @@ func TestRunTrafficDefaultEngine(t *testing.T) {
 	a := RunTraffic(nw.G, flows, proto, broadcast.MACOptions{Jitter: 2}, nil)
 	b := RunTraffic(nw.G, flows, proto, broadcast.MACOptions{Jitter: 2}, broadcast.RunMACMulti)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("nil engine is not the scalar reference:\n%+v\n%+v", a, b)
+		t.Fatalf("nil engine is not broadcast.RunMACMulti:\n%+v\n%+v", a, b)
 	}
 }
