@@ -3,7 +3,7 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-des bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke
+.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-des bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
@@ -145,3 +145,13 @@ faults-smoke:
 		-faults mtbf=100,mttr=40,burst=0.1:4,warmup=500
 	$(GO) run ./cmd/figures -fig faults,burst -quick -seed 7 -out artifacts/faults
 	cksum artifacts/faults/*.csv
+
+# Fuzz smoke: ten seconds each for the reject-before-build topology
+# sampler against its full-build test oracle, and for the two user-facing
+# spec grammars (-faults, -traffic): every accepted spec validates and
+# round-trips through String. `go test -fuzz` takes one target per
+# package, hence the anchored names.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz '^FuzzGenerateRejectAgree$$' -fuzztime 10s ./internal/topology
+	$(GO) test -run xxx -fuzz '^FuzzFaultsSpec$$' -fuzztime 10s ./internal/faults
+	$(GO) test -run xxx -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/workload

@@ -15,6 +15,7 @@
 package clustercast_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -700,17 +701,30 @@ func BenchmarkElection(b *testing.B) {
 
 // BenchmarkTopologyGenerate measures raw connected-topology sampling at the
 // paper's dense operating point (n=100, d=18): placement, spatial-grid
-// neighbor discovery, graph assembly, and the connectivity check.
+// neighbor discovery, graph assembly, and the connectivity check. The
+// sparse n=80,d=4 row is storm's sparsest series under the experiment
+// package's budget of 200 draws, where nearly every draw is rejected; an
+// exhausted budget is a skip, as in the figures, not a failure.
 func BenchmarkTopologyGenerate(b *testing.B) {
-	for _, n := range []int{100, 500} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		n        int
+		deg      float64
+		attempts int
+	}{
+		{"n=100", 100, 18, 0},
+		{"n=500", 500, 18, 0},
+		{"n=80,d=4", 80, 4, 200},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			r := rng.New(42)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, err := topology.Generate(topology.Config{
-					N: n, Bounds: geom.Square(100), AvgDegree: 18, RequireConnected: true,
+					N: tc.n, Bounds: geom.Square(100), AvgDegree: tc.deg,
+					RequireConnected: true, MaxAttempts: tc.attempts,
 				}, r)
-				if err != nil {
+				if err != nil && !(tc.attempts > 0 && errors.Is(err, topology.ErrDisconnected)) {
 					b.Fatal(err)
 				}
 			}

@@ -206,6 +206,22 @@ func TestRunTrafficBadSpec(t *testing.T) {
 	}
 }
 
+// TestRunTrafficFlowBound: a flow count beyond workload.MaxFlows is a
+// spec error reported before any output, not an out-of-memory crash when
+// the flow list is materialized.
+func TestRunTrafficFlowBound(t *testing.T) {
+	cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "flooding",
+		traffic: "proc=poisson,rate=1e308,flows=1000000000"}
+	var out bytes.Buffer
+	err := run(cfg, &out)
+	if err == nil || !strings.Contains(err.Error(), "Flows") {
+		t.Fatalf("want a flow-count error, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("printed before failing:\n%s", out.String())
+	}
+}
+
 // TestRunBadSpecPrintsNothing: a -faults or -traffic spec that fails to
 // parse or validate is rejected before any output or work — no network
 // line, no protocol rows.

@@ -148,12 +148,15 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// String renders the spec in the canonical flag grammar ParseSpec accepts.
+// String renders the spec in the canonical flag grammar ParseSpec accepts;
+// ParseSpec(s.String()) gives back s for every spec ParseSpec returns.
 func (s *Spec) String() string {
 	var parts []string
 	add := func(k string, v float64) { parts = append(parts, k+"="+strconv.FormatFloat(v, 'g', -1, 64)) }
 	if s.MeanUp > 0 {
 		add("mtbf", s.MeanUp)
+	}
+	if s.MeanDown > 0 {
 		add("mttr", s.MeanDown)
 	}
 	if s.LossGood > 0 {

@@ -237,22 +237,20 @@ func (g *Grid) Within(id int, radius float64, dst []int) []int {
 // Rows returns the number of grid cell rows.
 func (g *Grid) Rows() int { return g.rows }
 
-// Pairs calls fn(u, v) exactly once for every unordered pair of distinct
-// stored points within radius of each other. It sweeps cell pairs over the
-// half neighborhood (E, SW, S, SE), so each candidate pair is distance-
-// tested once — half the work of querying Within for every point. Like
-// Within, radius must not exceed the grid cell size.
-func (g *Grid) Pairs(radius float64, fn func(u, v int)) {
-	g.PairsRows(radius, 0, g.rows, fn)
-}
+// RowCells returns the id buckets of cell row cy, west to east. The
+// slices alias the grid's storage and must not be modified.
+func (g *Grid) RowCells(cy int) [][]int { return g.cells[cy*g.cols : (cy+1)*g.cols] }
 
-// PairsRows is Pairs restricted to pairs whose sweep origin lies in cell
-// rows [fromRow, toRow): the same half-neighborhood sweep, anchored at
-// those rows' cells. Every unordered pair is reported by exactly one row —
-// the one holding its first cell in sweep order — so a union of PairsRows
-// calls over a partition of the rows reports exactly the pairs Pairs does.
-// Disjoint row bands only read shared state, which is how the parallel
-// unit-disk construction shards the sweep without locking.
+// PairsRows calls fn(u, v) exactly once for every unordered pair of
+// distinct stored points within radius of each other whose sweep origin
+// lies in cell rows [fromRow, toRow). It sweeps cell pairs over the half
+// neighborhood (E, SW, S, SE), so each candidate pair is distance-tested
+// once — half the work of querying Within for every point. Every pair is
+// reported by exactly one row, the one holding its first cell in sweep
+// order, so PairsRows over a partition of [0, Rows()) reports every pair
+// of the grid once. Disjoint row bands only read shared state, which is
+// how the parallel unit-disk construction shards the sweep without
+// locking. Like Within, radius must not exceed the grid cell size.
 func (g *Grid) PairsRows(radius float64, fromRow, toRow int, fn func(u, v int)) {
 	if radius > g.cell+1e-9 {
 		panic("geom: query radius exceeds grid cell size")

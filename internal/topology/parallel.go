@@ -15,7 +15,7 @@ type buildBand struct {
 // sweep in build, with the distance tests sharded into contiguous
 // grid-row bands across workers goroutines. Each band runs PairsRows over
 // its rows into a private edge arena (the sweep only reads the grid), so
-// the bands' edge lists partition exactly the pair set of Pairs. Degrees,
+// the bands' edge lists partition exactly the grid's pair set. Degrees,
 // offsets and the cursor fill then run sequentially over the arenas in
 // band order, and the per-node segment sort is sharded again over ID
 // strips. The final CSR is bit-identical to the sequential build for any

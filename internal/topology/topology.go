@@ -84,7 +84,7 @@ func Generate(c Config, r *rng.Stream) (*Network, error) {
 // constant number of allocations. The throwaway workspace keeps the result
 // independently allocated (see Workspace.build for the implementation).
 func buildUnitDiskGraph(positions []geom.Point, bounds geom.Rect, radius float64) *graph.Graph {
-	return (&Workspace{}).build(positions, bounds, radius)
+	return (&Workspace{}).build(positions, bounds, radius, false)
 }
 
 // FromPositions builds the unit disk graph induced by explicit positions

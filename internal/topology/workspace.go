@@ -15,7 +15,10 @@ import (
 // count-then-fill adjacency assembly, the graph itself and the connectivity
 // scratch. A worker reuses one Workspace across all its replicates (and
 // across the connected-rejection attempts inside each), so steady-state
-// topology sampling allocates nothing.
+// topology sampling allocates nothing. Under RequireConnected a rejected
+// attempt costs only its placement and the part of the pair sweep before
+// its first isolated node; the adjacency is assembled only for candidates
+// that survive the sweep (see build).
 //
 // The Network returned by GenerateWith is owned by the workspace and valid
 // only until the next GenerateWith call on the same workspace.
@@ -49,6 +52,13 @@ func NewWorkspace() *Workspace {
 // GenerateWith draws one random network exactly like Generate — same
 // randomness consumption, same rejection sampling, bit-identical result —
 // but reuses the workspace buffers instead of allocating.
+//
+// Every attempt first places all n nodes (two Range draws per node, in
+// node order), so the stream advances by the same amount whether the
+// attempt is accepted or rejected. Under RequireConnected with n ≥ 2 the
+// sequential build then rejects the attempt at the first grid row that
+// completes with an isolated node, before any adjacency exists; only a
+// candidate without isolated nodes is assembled and checked by BFS.
 func GenerateWith(c Config, ws *Workspace, r *rng.Stream) (*Network, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -58,13 +68,26 @@ func GenerateWith(c Config, ws *Workspace, r *rng.Stream) (*Network, error) {
 	if attempts <= 0 {
 		attempts = defaultMaxAttempts(c.N)
 	}
+	// A lone node is connected at degree 0, so only n ≥ 2 rejects early.
+	rejectIsolated := c.RequireConnected && c.N >= 2
 	for a := 0; a < attempts; a++ {
-		nw := ws.place(c.N, c.Bounds, radius, r)
-		if !c.RequireConnected || nw.G.ConnectedWith(ws.scratch) {
-			return nw, nil
+		ws.place(c.N, c.Bounds, r)
+		g := ws.build(ws.positions, c.Bounds, radius, rejectIsolated)
+		if g == nil {
+			continue
+		}
+		if !c.RequireConnected || g.ConnectedWith(ws.scratch) {
+			ws.nw = Network{Positions: ws.positions, Radius: radius, Bounds: c.Bounds, G: g}
+			return &ws.nw, nil
 		}
 	}
-	return nil, fmt.Errorf("topology: no connected unit-disk sample for n=%d (target degree %.3g, radius %.4g, bounds %.4gx%.4g) after %d attempts — the density is likely below the connectivity threshold; raise AvgDegree/Radius or MaxAttempts, or clear RequireConnected: %w",
+	return nil, disconnectedError(c, radius, attempts)
+}
+
+// disconnectedError explains an exhausted connected-sampling budget and
+// wraps ErrDisconnected.
+func disconnectedError(c Config, radius float64, attempts int) error {
+	return fmt.Errorf("topology: no connected unit-disk sample for n=%d (target degree %.3g, radius %.4g, bounds %.4gx%.4g) after %d attempts — the density is likely below the connectivity threshold; raise AvgDegree/Radius or MaxAttempts, or clear RequireConnected: %w",
 		c.N, c.AvgDegree, radius, c.Bounds.Width(), c.Bounds.Height(), attempts, ErrDisconnected)
 }
 
@@ -86,9 +109,9 @@ func defaultMaxAttempts(n int) int {
 	return a
 }
 
-// place positions n nodes uniformly into the workspace buffers and builds
-// the unit disk graph, mirroring the package-level place.
-func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, r *rng.Stream) *Network {
+// place draws n uniform positions into the workspace buffer: x then y for
+// each node, in node order.
+func (ws *Workspace) place(n int, bounds geom.Rect, r *rng.Stream) {
 	if cap(ws.positions) < n {
 		ws.positions = make([]geom.Point, n)
 	}
@@ -99,19 +122,21 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, r *rng.Strea
 			Y: r.Range(bounds.MinY, bounds.MaxY),
 		}
 	}
-	ws.nw = Network{
-		Positions: ws.positions,
-		Radius:    radius,
-		Bounds:    bounds,
-		G:         ws.build(ws.positions, bounds, radius),
-	}
-	return &ws.nw
 }
 
 // build constructs the unit disk graph over the positions into the
 // workspace graph, reusing the grid, the packed edge list and the CSR
 // arrays. It is the single implementation behind buildUnitDiskGraph and
 // the zero-allocation replicate path.
+//
+// The sequential sweep runs one anchor row of the grid at a time. A pair
+// is reported by the row of its first cell in sweep order (in-cell and E
+// pairs by their own row, S/SW/SE pairs by the row above), so once anchor
+// row cy is swept every node stored in row cy has its final degree. With
+// rejectIsolated, build returns nil at the first such row holding a
+// degree-0 node: the graph cannot be connected, and no adjacency has been
+// assembled yet. The parallel band path ignores rejectIsolated and always
+// builds.
 //
 // The graph is assembled directly in compressed-sparse-row form: degrees
 // are counted during the pair sweep, offsets are one prefix-sum pass, the
@@ -121,7 +146,7 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, r *rng.Strea
 // most once and never pairs a node with itself, so the symmetric/
 // duplicate-free/in-range validation Renew would re-run is guaranteed by
 // construction.
-func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius float64) *graph.Graph {
+func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius float64, rejectIsolated bool) *graph.Graph {
 	n := len(positions)
 	ws.ensureCSR(n)
 	if radius < 0 {
@@ -156,11 +181,18 @@ func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius floa
 	for i := range deg {
 		deg[i] = 0
 	}
-	ws.grid.Pairs(radius, func(u, v int) {
+	pair := func(u, v int) {
 		deg[u]++
 		deg[v]++
 		edges = append(edges, uint64(u)<<32|uint64(v))
-	})
+	}
+	for cy, rows := 0, ws.grid.Rows(); cy < rows; cy++ {
+		ws.grid.PairsRows(radius, cy, cy+1, pair)
+		if rejectIsolated && hasIsolated(ws.grid.RowCells(cy), deg) {
+			ws.edges = edges
+			return nil
+		}
+	}
 	ws.edges = edges
 	off := ws.off
 	off[0] = 0
@@ -185,6 +217,19 @@ func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius floa
 	}
 	ws.g.RenewCSR(off, backing)
 	return &ws.g
+}
+
+// hasIsolated reports whether any node stored in the row's cells has
+// degree zero.
+func hasIsolated(row [][]int, deg []int) bool {
+	for _, cell := range row {
+		for _, u := range cell {
+			if deg[u] == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ensureCSR sizes the degree/offset buffers for n nodes.

@@ -76,16 +76,23 @@ func DefaultSpec(seed uint64) Spec {
 	return Spec{Process: Poisson, Rate: 0.1, Flows: 32, FanOut: 1, Seed: seed}
 }
 
+// MaxFlows bounds Spec.Flows. Generate materializes every flow up front,
+// so an unbounded count would exhaust memory before the first slot runs.
+const MaxFlows = 1 << 20
+
 // Validate checks the spec's parameter ranges.
 func (s *Spec) Validate() error {
-	if s.Flows <= 0 {
-		return fmt.Errorf("workload: Flows = %d, want > 0", s.Flows)
+	if s.Flows <= 0 || s.Flows > MaxFlows {
+		return fmt.Errorf("workload: Flows = %d, want 1..%d", s.Flows, MaxFlows)
 	}
 	if s.FanOut < 0 {
 		return fmt.Errorf("workload: FanOut = %d, want >= 0", s.FanOut)
 	}
 	if math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) {
 		return fmt.Errorf("workload: Rate = %g is not a finite number", s.Rate)
+	}
+	if s.Rate < 0 {
+		return fmt.Errorf("workload: Rate = %g is negative", s.Rate)
 	}
 	switch s.Process {
 	case Poisson:
@@ -182,17 +189,19 @@ func (s *Spec) Generate(n int) ([]Flow, error) {
 }
 
 // String renders the spec in the canonical flag grammar ParseSpec
-// accepts (the faults.Spec idiom).
+// accepts (the faults.Spec idiom). A field the other process ignores is
+// rendered only when set, so ParseSpec(s.String()) gives back s.
 func (s *Spec) String() string {
 	var parts []string
 	parts = append(parts, "proc="+s.Process.String())
-	if s.Process == Poisson {
+	if s.Process == Poisson || s.Rate != 0 {
 		parts = append(parts, "rate="+strconv.FormatFloat(s.Rate, 'g', -1, 64))
-	} else {
+	}
+	if s.Process == Bursty || s.Burst != 0 || s.Every != 0 {
 		parts = append(parts, "burst="+strconv.Itoa(s.Burst), "every="+strconv.Itoa(s.Every))
 	}
 	parts = append(parts, "flows="+strconv.Itoa(s.Flows))
-	if s.FanOut > 1 {
+	if s.FanOut != 1 {
 		parts = append(parts, "fanout="+strconv.Itoa(s.FanOut))
 	}
 	if s.Discovery {
@@ -210,7 +219,7 @@ func (s *Spec) String() string {
 //	proc=poisson|bursty  arrival process (default poisson)
 //	rate=F               Poisson arrival events per slot
 //	burst=N every=M      bursty process: N events every M slots
-//	flows=N              total flows
+//	flows=N              total flows (1..MaxFlows)
 //	fanout=N             flows per arrival event (default 1)
 //	discovery=0|1        route-discovery workload (draw destinations)
 //	seed=N               workload seed

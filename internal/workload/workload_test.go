@@ -106,6 +106,11 @@ func TestSpecValidate(t *testing.T) {
 		{Process: Poisson, Rate: math.NaN(), Flows: 5},
 		{Process: Poisson, Rate: math.Inf(1), Flows: 5},
 		{Process: Bursty, Rate: math.NaN(), Burst: 2, Every: 5, Flows: 5},
+		{Process: Bursty, Rate: -0.5, Burst: 2, Every: 5, Flows: 5},
+		// Generate materializes every flow: a huge count must fail here,
+		// not as an out-of-memory crash.
+		{Process: Poisson, Rate: 1e308, Flows: 1_000_000_000},
+		{Process: Poisson, Rate: 1, Flows: MaxFlows + 1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -113,6 +118,10 @@ func TestSpecValidate(t *testing.T) {
 		}
 	}
 	ok := DefaultSpec(1)
+	ok.Flows = MaxFlows
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("Validate rejected Flows = MaxFlows: %v", err)
+	}
 	if _, err := ok.Generate(0); err == nil {
 		t.Fatal("Generate accepted n = 0")
 	}
@@ -137,7 +146,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		t.Fatalf("empty spec: %v", err)
 	}
 	for _, bad := range []string{"nope", "proc=martian", "rate=x", "flows=0",
-		"rate=NaN,flows=4", "rate=Inf,flows=4", "rate=-Inf,flows=4", "proc=bursty,burst=2,every=5,rate=NaN"} {
+		"rate=NaN,flows=4", "rate=Inf,flows=4", "rate=-Inf,flows=4", "proc=bursty,burst=2,every=5,rate=NaN",
+		"proc=poisson,rate=1e308,flows=1000000000", "proc=bursty,burst=2,every=5,rate=-1"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec accepted %q", bad)
 		}
