@@ -147,11 +147,13 @@ faults-smoke:
 	cksum artifacts/faults/*.csv
 
 # Fuzz smoke: ten seconds each for the reject-before-build topology
-# sampler against its full-build test oracle, and for the two user-facing
+# sampler against its full-build test oracle, for the two user-facing
 # spec grammars (-faults, -traffic): every accepted spec validates and
-# round-trips through String. `go test -fuzz` takes one target per
+# round-trips through String, and for the dense multi-source MAC engine
+# against its slot-map test oracle. `go test -fuzz` takes one target per
 # package, hence the anchored names.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzGenerateRejectAgree$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run xxx -fuzz '^FuzzFaultsSpec$$' -fuzztime 10s ./internal/faults
 	$(GO) test -run xxx -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run xxx -fuzz '^FuzzMultiMACScalarDESAgree$$' -fuzztime 10s ./internal/broadcast

@@ -222,6 +222,23 @@ func TestRunTrafficFlowBound(t *testing.T) {
 	}
 }
 
+// TestRunTrafficCellBound: a flow count within workload.MaxFlows whose
+// n × flows product exceeds workload.MaxCells is rejected before any
+// output, naming both numbers.
+func TestRunTrafficCellBound(t *testing.T) {
+	// manetsim -n 100 -traffic proc=poisson,rate=0.3,flows=1048576
+	cfg := config{n: 100, d: 8, seed: 1, source: 0, protocols: "flooding",
+		traffic: "proc=poisson,rate=0.3,flows=1048576"}
+	var out bytes.Buffer
+	err := run(cfg, &out)
+	if err == nil || !strings.Contains(err.Error(), "100 × 1048576") {
+		t.Fatalf("want an n × flows error, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("printed before failing:\n%s", out.String())
+	}
+}
+
 // TestRunBadSpecPrintsNothing: a -faults or -traffic spec that fails to
 // parse or validate is rejected before any output or work — no network
 // line, no protocol rows.

@@ -123,87 +123,6 @@ func RunMACMulti(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult
 	return mw.Run(g, flows, opt)
 }
 
-// commit resolves one (receiver, slot) cell: the collision rule first,
-// then delivery/duplicate dispatch into the decoded copy's flow. The
-// slot-map reference in the package tests calls it too, so the two
-// engines' per-receiver semantics cannot drift.
-func (m *MultiResult) commit(g *graph.Graph, flows []MultiFlow, batch []multiTx, t, v int,
-	copies []int32, tr *obs.Tracer, draw func(int32) int,
-	mark func(int32, int, Packet), actedOn func(int32, int, Packet) bool,
-	schedule func(int, multiTx)) {
-	if len(copies) > 1 {
-		m.SharedCollisions++
-		// Attribute the destroyed copies flow by flow: each involved flow
-		// records one collision event plus its own lost copies, exactly
-		// what its single-source run would have recorded had the copies
-		// all been its own.
-		first := batch[copies[0]].flow
-		cross := false
-		for ci, bi := range copies {
-			fi := batch[bi].flow
-			m.Flows[fi].LostCopies++
-			if fi != first {
-				cross = true
-			}
-			newFlow := true
-			for _, bj := range copies[:ci] {
-				if batch[bj].flow == fi {
-					newFlow = false
-					break
-				}
-			}
-			if newFlow {
-				m.Flows[fi].Collisions++
-			}
-		}
-		if cross {
-			m.CrossCollisions++
-		}
-		if tr != nil {
-			tr.Collision(t+1, v)
-		}
-		return
-	}
-	x := batch[copies[0]]
-	fi := x.flow
-	fr := m.Flows[fi]
-	f := &flows[fi]
-	var forward bool
-	var out Packet
-	if !fr.Received[v] {
-		fr.Received[v] = true
-		fr.Parent[v] = int(x.sender)
-		if rel := t + 1 - f.Start; rel > fr.Latency {
-			fr.Latency = rel
-		}
-		if t+1 > m.Makespan {
-			m.Makespan = t + 1
-		}
-		if v == f.Dst && fr.DstSlot < 0 {
-			fr.DstSlot = t + 1
-		}
-		if tr != nil {
-			tr.Deliver(t+1, v, int(x.sender))
-		}
-		forward, out = f.Proto.OnReceive(v, int(x.sender), x.pkt)
-	} else {
-		fr.Duplicates++
-		if tr != nil {
-			tr.Duplicate(t+1, v, int(x.sender))
-		}
-		if actedOn(fi, v, x.pkt) {
-			return
-		}
-		forward, out = f.Proto.OnDuplicate(v, int(x.sender), x.pkt)
-	}
-	if forward {
-		fr.Forwarders[v] = true
-		mark(fi, v, x.pkt)
-		mark(fi, v, out)
-		schedule(t+1+draw(fi), multiTx{flow: fi, sender: int32(v), trigger: x.sender, pkt: out})
-	}
-}
-
 // fold records the run's totals in the metrics registry: the broadcast.*
 // and mac.* totals a serialized sequence of single-source runs would have
 // folded, plus the multi-source-only counters.
@@ -229,33 +148,61 @@ func (m *MultiResult) fold() {
 // MultiMACWorkspace owns the state of the multi-source MAC engine.
 // Pending transmissions live in internal/des wheel buckets (flow starts
 // beyond the jitter window park in the wheel's far heap and promote in
-// push order, so a slot's batch order is its push order); receiver-side
-// resolution keeps per-slot epoch-stamped *copy lists* rather than the
-// single-source engine's (count, first) pair, because cross-flow
-// collision attribution needs to know which flow owned each destroyed
-// copy. Per-flow result state stays map-based, and the per-receiver
-// commit is shared with the slot-map reference in the package tests
-// (gated by TestMultiMACScalarDESEquivalence and the fuzz target).
+// push order, so a slot's batch order is its push order). Per-flow
+// forwarding state is dense and flow-major: one 16-byte cell per
+// (flow, node), indexed fi*n+v, holding run-epoch received/forwarded
+// stamps, the parent, and an index into a run-scoped pool of
+// acted-payload lists; per-flow counters and jitter streams live in a
+// reused per-flow slice. Receiver-side resolution keeps per-slot
+// epoch-stamped *copy lists* rather than the single-source engine's
+// (count, first) pair, because cross-flow collision attribution needs to
+// know which flow owned each destroyed copy. The map-based MultiResult is
+// built once, at the end of a run. The slot-map reference it must replay
+// bit for bit lives in oracle_test.go (gated by
+// TestMultiMACScalarDESEquivalence and the fuzz target).
 //
 // Not safe for concurrent use; give each worker its own.
 type MultiMACWorkspace struct {
 	wheel des.Wheel[multiTx]
+
+	// Per-run epoch-stamped (flow, node) state.
+	epoch  uint32
+	n      int
+	cells  []multiCell
+	acted  [][]Packet // run-scoped pool, indexed by multiCell.acted
+	nActed int32
+	flows  []multiFlowState
 
 	// Per-slot epoch-stamped receiver state.
 	slotEpoch uint32
 	stamp     []uint32
 	copies    [][]int32 // batch indices heard by v this slot (append order)
 	touched   []int32   // receivers touched this slot (commit order after sort)
+}
 
-	jitters []rng.Stream // one per flow, reseeded per run
-	acted   []map[int]map[Packet]bool
+// multiCell is one (flow, node) cell of the dense per-flow state.
+type multiCell struct {
+	received  uint32 // run epoch at which the node first decoded the flow
+	forwarded uint32 // run epoch at which the node first forwarded it
+	parent    int32  // sender of the first decoded copy
+	acted     int32  // acted-payload list; valid when forwarded is current
+}
+
+// multiFlowState is one flow's running counters and jitter stream.
+type multiFlowState struct {
+	jitter              rng.Stream
+	received, forwarded int
+	latency, duplicates int
+	collisions, lost    int
+	dstSlot             int
 }
 
 // NewMultiMACWorkspace returns an empty workspace; buffers grow on first
 // use.
 func NewMultiMACWorkspace() *MultiMACWorkspace { return &MultiMACWorkspace{} }
 
-// ensure sizes the per-receiver arrays and resets the per-flow state.
+// ensure sizes the per-receiver and per-(flow, node) arrays and bumps the
+// run epoch (wrap-flushing stale stamps).
 func (mw *MultiMACWorkspace) ensure(n, nflows int) {
 	if cap(mw.stamp) < n {
 		mw.stamp = make([]uint32, n)
@@ -264,12 +211,22 @@ func (mw *MultiMACWorkspace) ensure(n, nflows int) {
 	}
 	mw.stamp = mw.stamp[:n]
 	mw.copies = mw.copies[:n]
-	if cap(mw.jitters) < nflows {
-		mw.jitters = make([]rng.Stream, nflows)
-		mw.acted = make([]map[int]map[Packet]bool, nflows)
+	if cap(mw.cells) < n*nflows {
+		mw.cells = make([]multiCell, n*nflows)
+		mw.epoch = 0
 	}
-	mw.jitters = mw.jitters[:nflows]
-	mw.acted = mw.acted[:nflows]
+	mw.cells = mw.cells[:n*nflows]
+	mw.n = n
+	if cap(mw.flows) < nflows {
+		mw.flows = make([]multiFlowState, nflows)
+	}
+	mw.flows = mw.flows[:nflows]
+	mw.nActed = 0
+	mw.epoch++
+	if mw.epoch == 0 {
+		clear(mw.cells[:cap(mw.cells)])
+		mw.epoch = 1
+	}
 }
 
 // bumpSlot advances the per-slot receiver stamp (wrap-flushing).
@@ -296,6 +253,155 @@ func (mw *MultiMACWorkspace) hear(v int, bi int32) bool {
 	return fresh
 }
 
+// forward stamps c as a forwarder of flow fs, handing it an empty
+// acted-payload list from the pool on its first forward this run.
+func (mw *MultiMACWorkspace) forward(c *multiCell, fs *multiFlowState) {
+	if c.forwarded == mw.epoch {
+		return
+	}
+	c.forwarded = mw.epoch
+	fs.forwarded++
+	c.acted = mw.nActed
+	mw.nActed++
+	if int(c.acted) == len(mw.acted) {
+		mw.acted = append(mw.acted, nil)
+	}
+	mw.acted[c.acted] = mw.acted[c.acted][:0]
+}
+
+// markActed / actedOn mirror MACWorkspace's per-node payload lists, per
+// (flow, node) cell.
+func (mw *MultiMACWorkspace) markActed(c *multiCell, pkt Packet) {
+	if !mw.actedOn(c, pkt) {
+		mw.acted[c.acted] = append(mw.acted[c.acted], pkt)
+	}
+}
+
+func (mw *MultiMACWorkspace) actedOn(c *multiCell, pkt Packet) bool {
+	if c.forwarded != mw.epoch {
+		return false
+	}
+	for _, q := range mw.acted[c.acted] {
+		if q == pkt {
+			return true
+		}
+	}
+	return false
+}
+
+// commit resolves receiver v's copies of slot t: the collision rule
+// first, then delivery/duplicate dispatch into the decoded copy's flow.
+func (mw *MultiMACWorkspace) commit(res *MultiResult, flows []MultiFlow, batch []multiTx, t, v, jitter int, tr *obs.Tracer) {
+	copies := mw.copies[v]
+	if len(copies) > 1 {
+		res.SharedCollisions++
+		// Attribute the destroyed copies flow by flow: each involved flow
+		// records one collision event plus its own lost copies, exactly
+		// what its single-source run would have recorded had the copies
+		// all been its own.
+		first := batch[copies[0]].flow
+		cross := false
+		for ci, bi := range copies {
+			fi := batch[bi].flow
+			mw.flows[fi].lost++
+			if fi != first {
+				cross = true
+			}
+			newFlow := true
+			for _, bj := range copies[:ci] {
+				if batch[bj].flow == fi {
+					newFlow = false
+					break
+				}
+			}
+			if newFlow {
+				mw.flows[fi].collisions++
+			}
+		}
+		if cross {
+			res.CrossCollisions++
+		}
+		if tr != nil {
+			tr.Collision(t+1, v)
+		}
+		return
+	}
+	x := batch[copies[0]]
+	fi := int(x.flow)
+	f, fs, c := &flows[fi], &mw.flows[fi], &mw.cells[fi*mw.n+v]
+	var forward bool
+	var out Packet
+	if c.received != mw.epoch {
+		c.received = mw.epoch
+		c.parent = x.sender
+		fs.received++
+		if rel := t + 1 - f.Start; rel > fs.latency {
+			fs.latency = rel
+		}
+		if t+1 > res.Makespan {
+			res.Makespan = t + 1
+		}
+		if v == f.Dst && fs.dstSlot < 0 {
+			fs.dstSlot = t + 1
+		}
+		if tr != nil {
+			tr.Deliver(t+1, v, int(x.sender))
+		}
+		forward, out = f.Proto.OnReceive(v, int(x.sender), x.pkt)
+	} else {
+		fs.duplicates++
+		if tr != nil {
+			tr.Duplicate(t+1, v, int(x.sender))
+		}
+		if mw.actedOn(c, x.pkt) {
+			return
+		}
+		forward, out = f.Proto.OnDuplicate(v, int(x.sender), x.pkt)
+	}
+	if forward {
+		mw.forward(c, fs)
+		mw.markActed(c, x.pkt)
+		mw.markActed(c, out)
+		delay := 0
+		if jitter > 0 {
+			delay = fs.jitter.Intn(jitter + 1)
+		}
+		mw.wheel.Push(t+1+delay, multiTx{flow: x.flow, sender: int32(v), trigger: x.sender, pkt: out})
+	}
+}
+
+// materialize builds the map-based per-flow results from the dense
+// state, maps presized from the per-flow counters.
+func (mw *MultiMACWorkspace) materialize(res *MultiResult, flows []MultiFlow) {
+	n, epoch := mw.n, mw.epoch
+	frs := make([]FlowResult, len(flows))
+	for fi := range flows {
+		f, fs, fr := &flows[fi], &mw.flows[fi], &frs[fi]
+		fr.Start, fr.DstSlot = f.Start, fs.dstSlot
+		fr.Collisions, fr.LostCopies = fs.collisions, fs.lost
+		fr.Result = Result{
+			Source:     f.Src,
+			Latency:    fs.latency,
+			Duplicates: fs.duplicates,
+			Forwarders: make(map[int]bool, fs.forwarded),
+			Received:   make(map[int]bool, fs.received),
+			Parent:     make(map[int]int, fs.received-1),
+		}
+		for v, c := range mw.cells[fi*n : (fi+1)*n] {
+			if c.received == epoch {
+				fr.Received[v] = true
+				if v != f.Src {
+					fr.Parent[v] = int(c.parent)
+				}
+			}
+			if c.forwarded == epoch {
+				fr.Forwarders[v] = true
+			}
+		}
+		res.Flows[fi] = fr
+	}
+}
+
 // Run simulates concurrently active broadcasts on the workspace (see
 // RunMACMulti; opt.Seed is ignored for the same reason).
 func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult {
@@ -303,22 +409,8 @@ func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 	if len(flows) == 0 {
 		return res
 	}
-	mw.ensure(g.N(), len(flows))
-
-	draw := func(fi int32) int {
-		if opt.Jitter <= 0 {
-			return 0
-		}
-		return mw.jitters[fi].Intn(opt.Jitter + 1)
-	}
-	mark := func(fi int32, v int, pkt Packet) {
-		m := mw.acted[fi][v]
-		if m == nil {
-			m = make(map[Packet]bool)
-			mw.acted[fi][v] = m
-		}
-		m[pkt] = true
-	}
+	n := g.N()
+	mw.ensure(n, len(flows))
 
 	tr := opt.Tracer
 	if tr != nil {
@@ -327,22 +419,17 @@ func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 	w := &mw.wheel
 	w.Reset(opt.Jitter + 2) // forwards land in [t+1, t+1+Jitter]
 	for i := range flows {
-		f := &flows[i]
-		fr := &FlowResult{Start: f.Start, DstSlot: -1}
-		fr.Result = Result{
-			Source:     f.Src,
-			Forwarders: map[int]bool{f.Src: true},
-			Received:   map[int]bool{f.Src: true},
-			Parent:     make(map[int]int),
-		}
+		f, fs := &flows[i], &mw.flows[i]
+		*fs = multiFlowState{received: 1, dstSlot: -1}
 		if f.Dst == f.Src {
-			fr.DstSlot = f.Start
+			fs.dstSlot = f.Start
 		}
-		res.Flows[i] = fr
-		mw.jitters[i].SeedLabeled(f.Seed, "mac-jitter")
-		mw.acted[i] = make(map[int]map[Packet]bool)
+		fs.jitter.SeedLabeled(f.Seed, "mac-jitter")
+		c := &mw.cells[i*n+f.Src]
+		c.received = mw.epoch
+		mw.forward(c, fs)
 		start := f.Proto.Start(f.Src)
-		mark(int32(i), f.Src, start)
+		mw.markActed(c, start)
 		w.Push(f.Start, multiTx{flow: int32(i), sender: int32(f.Src), trigger: -1, pkt: start})
 	}
 
@@ -385,22 +472,15 @@ func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 		}
 		slices.Sort(mw.touched)
 
-		// Commit: receivers in ascending ID order through the shared
-		// per-receiver resolution.
-		for _, v32 := range mw.touched {
-			v := int(v32)
-			res.commit(g, flows, batch, t, v, mw.copies[v], tr, draw,
-				mark,
-				func(fi int32, node int, pkt Packet) bool { return mw.acted[fi][node][pkt] },
-				func(slot int, x multiTx) { w.Push(slot, x) })
+		// Commit: receivers in ascending ID order.
+		for _, v := range mw.touched {
+			mw.commit(res, flows, batch, t, int(v), opt.Jitter, tr)
 		}
 		w.CloseSlot()
 	}
 	w.FoldStats()
-	for i := range mw.acted {
-		mw.acted[i] = nil // release per-run maps; sizes vary run to run
-	}
 
+	mw.materialize(res, flows)
 	res.fold()
 	return res
 }

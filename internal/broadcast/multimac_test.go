@@ -274,28 +274,97 @@ func TestMultiMACEmptyFlows(t *testing.T) {
 	}
 }
 
-// TestMultiMACWorkspaceReuse: a workspace survives runs of different
-// sizes and flow counts without cross-run contamination.
+// TestMultiMACWorkspaceReuse: one held workspace survives runs of growing
+// and shrinking (n, flows) shapes, with faults and a tracer on, without
+// cross-run contamination: every run equals a fresh RunMACMulti and the
+// slot-map oracle, trace stream included.
 func TestMultiMACWorkspaceReuse(t *testing.T) {
 	mw := NewMultiMACWorkspace()
-	for trial := 0; trial < 6; trial++ {
-		nw := randomNet(t, 900+uint64(trial), 20+10*(trial%3), 7)
+	shapes := []struct{ n, flows int }{
+		{20, 2}, {50, 9}, {30, 4}, {80, 16}, {20, 1}, {60, 32}, {40, 3},
+	}
+	for trial, sh := range shapes {
+		nw := randomNet(t, 900+uint64(trial), sh.n, 7)
 		n := nw.G.N()
-		flows := multiFlows(n, 2+trial%4, 1+trial, Flooding{})
-		got := mw.Run(nw.G, flows, MACOptions{Jitter: trial % 4})
-		want := RunMACMulti(nw.G, flows, MACOptions{Jitter: trial % 4})
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: reused workspace diverged from a fresh run", trial)
+		flows := multiFlows(n, sh.flows, 1+trial%3, Gossip{P: 0.8, Seed: 13})
+		engines := []func(MACOptions) *MultiResult{
+			func(o MACOptions) *MultiResult { return mw.Run(nw.G, flows, o) },
+			func(o MACOptions) *MultiResult { return RunMACMulti(nw.G, flows, o) },
+			func(o MACOptions) *MultiResult { return runMACMultiScalar(nw.G, flows, o) },
+		}
+		var res []*MultiResult
+		var traces [][]byte
+		for _, run := range engines {
+			tr := obs.NewTracer(1 << 16)
+			opt := MACOptions{Jitter: trial % 4, Tracer: tr}
+			if trial%2 == 1 {
+				opt.Faults = burstOracle(t, n, uint64(50+trial))
+			}
+			res = append(res, run(opt))
+			traces = append(traces, traceBytes(t, tr))
+		}
+		for k, name := range []string{"RunMACMulti", "oracle"} {
+			if !reflect.DeepEqual(res[0], res[k+1]) {
+				t.Fatalf("trial %d (n=%d, %d flows): reused workspace diverged from %s:\n%+v\n%+v",
+					trial, n, sh.flows, name, res[0], res[k+1])
+			}
+			if !bytes.Equal(traces[0], traces[k+1]) {
+				t.Fatalf("trial %d: reused workspace's trace differs from %s", trial, name)
+			}
 		}
 	}
 }
 
+// TestMultiMACEpochWrap: the run whose epoch bump wraps the uint32 run
+// and slot stamps flushes the stale cells earlier runs left at stamp 1.
+func TestMultiMACEpochWrap(t *testing.T) {
+	nw := randomNet(t, 77, 40, 8)
+	flows := multiFlows(nw.G.N(), 6, 1, Flooding{})
+	opt := MACOptions{Jitter: 2}
+	want := RunMACMulti(nw.G, flows, opt)
+	mw := NewMultiMACWorkspace()
+	mw.Run(nw.G, flows, opt)
+	mw.epoch, mw.slotEpoch = ^uint32(0), ^uint32(0)
+	if got := mw.Run(nw.G, flows, opt); !reflect.DeepEqual(want, got) {
+		t.Fatalf("run across the epoch wrap diverged:\n%+v\n%+v", want, got)
+	}
+	if mw.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", mw.epoch)
+	}
+}
+
+// TestMultiMACHeldAllocs: a held workspace at the traffic figures' shape
+// (n=60, 32 flows, jitter 3) allocates only the materialized result — at
+// most 10 allocations per flow for the FlowResult and its three maps.
+func TestMultiMACHeldAllocs(t *testing.T) {
+	nw := randomNet(t, 60, 60, 10)
+	flows := multiFlows(nw.G.N(), 32, 2, Flooding{})
+	mw := NewMultiMACWorkspace()
+	opt := MACOptions{Jitter: 3}
+	mw.Run(nw.G, flows, opt) // warm the buffers
+	allocs := testing.AllocsPerRun(20, func() { mw.Run(nw.G, flows, opt) })
+	if limit := 10 * len(flows); allocs > float64(limit) {
+		t.Fatalf("held workspace allocates %g per run, want <= %d", allocs, limit)
+	}
+}
+
 func BenchmarkMultiMAC(b *testing.B) {
+	// The traffic figures' own shape: n=60, 32 flows, one held workspace.
+	nw := randomNet(b, 60, 60, 10)
+	flows := multiFlows(nw.G.N(), 32, 2, Flooding{})
+	mw := NewMultiMACWorkspace()
+	b.Run("n=60,flows=32", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mw.Run(nw.G, flows, MACOptions{Jitter: 3})
+		}
+	})
 	for _, n := range []int{1000, 10000} {
 		nw := randomNet(b, uint64(n), n, 10)
 		flows := multiFlows(nw.G.N(), 8, 2, Flooding{})
 		mw := NewMultiMACWorkspace()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				mw.Run(nw.G, flows, MACOptions{Jitter: 4})
 			}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"clustercast/internal/graph"
+	"clustercast/internal/obs"
 	"clustercast/internal/rng"
 )
 
@@ -193,8 +194,10 @@ func runMACScalar(g *graph.Graph, source int, p Protocol, opt MACOptions) *Colli
 	return res
 }
 
-// runMACMultiScalar is the slot-map reference of RunMACMulti. It shares
-// MultiResult.commit and fold with the production engine.
+// runMACMultiScalar is the slot-map reference of RunMACMulti: map-based
+// per-flow state and acted-payload sets, resolved receiver by receiver
+// through MultiResult.commit below. It shares only fold, a pure function
+// of the compared result, with the production engine.
 func runMACMultiScalar(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult {
 	res := &MultiResult{Flows: make([]*FlowResult, len(flows))}
 	if len(flows) == 0 {
@@ -336,6 +339,87 @@ func runMACMultiScalar(g *graph.Graph, flows []MultiFlow, opt MACOptions) *Multi
 
 	res.fold()
 	return res
+}
+
+// commit resolves one (receiver, slot) cell of the slot-map reference:
+// the collision rule first, then delivery/duplicate dispatch into the
+// decoded copy's flow, all on the map-based result. MultiMACWorkspace
+// replays it on dense per-flow state; the two share no resolution code.
+func (m *MultiResult) commit(g *graph.Graph, flows []MultiFlow, batch []multiTx, t, v int,
+	copies []int32, tr *obs.Tracer, draw func(int32) int,
+	mark func(int32, int, Packet), actedOn func(int32, int, Packet) bool,
+	schedule func(int, multiTx)) {
+	if len(copies) > 1 {
+		m.SharedCollisions++
+		// Attribute the destroyed copies flow by flow: each involved flow
+		// records one collision event plus its own lost copies, exactly
+		// what its single-source run would have recorded had the copies
+		// all been its own.
+		first := batch[copies[0]].flow
+		cross := false
+		for ci, bi := range copies {
+			fi := batch[bi].flow
+			m.Flows[fi].LostCopies++
+			if fi != first {
+				cross = true
+			}
+			newFlow := true
+			for _, bj := range copies[:ci] {
+				if batch[bj].flow == fi {
+					newFlow = false
+					break
+				}
+			}
+			if newFlow {
+				m.Flows[fi].Collisions++
+			}
+		}
+		if cross {
+			m.CrossCollisions++
+		}
+		if tr != nil {
+			tr.Collision(t+1, v)
+		}
+		return
+	}
+	x := batch[copies[0]]
+	fi := x.flow
+	fr := m.Flows[fi]
+	f := &flows[fi]
+	var forward bool
+	var out Packet
+	if !fr.Received[v] {
+		fr.Received[v] = true
+		fr.Parent[v] = int(x.sender)
+		if rel := t + 1 - f.Start; rel > fr.Latency {
+			fr.Latency = rel
+		}
+		if t+1 > m.Makespan {
+			m.Makespan = t + 1
+		}
+		if v == f.Dst && fr.DstSlot < 0 {
+			fr.DstSlot = t + 1
+		}
+		if tr != nil {
+			tr.Deliver(t+1, v, int(x.sender))
+		}
+		forward, out = f.Proto.OnReceive(v, int(x.sender), x.pkt)
+	} else {
+		fr.Duplicates++
+		if tr != nil {
+			tr.Duplicate(t+1, v, int(x.sender))
+		}
+		if actedOn(fi, v, x.pkt) {
+			return
+		}
+		forward, out = f.Proto.OnDuplicate(v, int(x.sender), x.pkt)
+	}
+	if forward {
+		fr.Forwarders[v] = true
+		mark(fi, v, x.pkt)
+		mark(fi, v, out)
+		schedule(t+1+draw(fi), multiTx{flow: fi, sender: int32(v), trigger: x.sender, pkt: out})
+	}
 }
 
 // timedEvent is an entry of the simulation's time-ordered queue.

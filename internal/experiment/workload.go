@@ -75,6 +75,7 @@ func Traffic(rates []float64, n int, d float64, flows, jitter int, seed uint64, 
 				rate := rates[i]
 				sc := DefaultScenario(n, d, seed)
 				sc.Rule = rule
+				mw := broadcast.NewMultiMACWorkspace() // replicates run sequentially
 				sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
 					nw, cl, _, ok := clusteredSample(sc, fmt.Sprintf("traffic-%g", rate), rep)
 					if !ok {
@@ -89,7 +90,7 @@ func Traffic(rates []float64, n int, d float64, flows, jitter int, seed uint64, 
 						return 0, false
 					}
 					tr := workload.RunTraffic(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
+						broadcast.MACOptions{Jitter: jitter}, mw.Run)
 					return m.measure(tr), true
 				})
 				if err != nil {
@@ -139,6 +140,7 @@ func Discovery(rates []float64, n int, d float64, flows, jitter int, seed uint64
 				rate := rates[i]
 				sc := DefaultScenario(n, d, seed)
 				sc.Rule = rule
+				mw := broadcast.NewMultiMACWorkspace() // replicates run sequentially
 				sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
 					nw, cl, _, ok := clusteredSample(sc, fmt.Sprintf("discovery-%g", rate), rep)
 					if !ok {
@@ -153,7 +155,7 @@ func Discovery(rates []float64, n int, d float64, flows, jitter int, seed uint64
 						return 0, false
 					}
 					dr := workload.RunDiscovery(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
+						broadcast.MACOptions{Jitter: jitter}, mw.Run)
 					return m.measure(dr)
 				})
 				if err != nil {

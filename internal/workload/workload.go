@@ -80,6 +80,11 @@ func DefaultSpec(seed uint64) Spec {
 // so an unbounded count would exhaust memory before the first slot runs.
 const MaxFlows = 1 << 20
 
+// MaxCells bounds the n × Flows product Generate accepts. The
+// multi-source MAC engine keeps one 16-byte state cell per (flow, node),
+// so the bound caps that state at 1 GiB.
+const MaxCells = 1 << 26
+
 // Validate checks the spec's parameter ranges.
 func (s *Spec) Validate() error {
 	if s.Flows <= 0 || s.Flows > MaxFlows {
@@ -126,7 +131,8 @@ func (s *Spec) FlowSeed(id int) uint64 {
 	return rng.CoinWord(s.Seed, uint64(id), 0, flowSeedDomain)
 }
 
-// Generate materializes the spec's flow list over an n-node network.
+// Generate materializes the spec's flow list over an n-node network,
+// rejecting n × Flows beyond MaxCells.
 // The arrival timeline comes from one labeled stream; per-flow endpoint
 // draws come from each flow's own seeded stream, so the flow list is
 // bit-stable under any evaluation order.
@@ -136,6 +142,9 @@ func (s *Spec) Generate(n int) ([]Flow, error) {
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: n = %d, want > 0", n)
+	}
+	if s.Flows > MaxCells/n {
+		return nil, fmt.Errorf("workload: n × Flows = %d × %d exceeds MaxCells = %d", n, s.Flows, MaxCells)
 	}
 	fan := s.FanOut
 	if fan < 1 {

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clustercast/internal/broadcast"
@@ -124,6 +126,36 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if _, err := ok.Generate(0); err == nil {
 		t.Fatal("Generate accepted n = 0")
+	}
+}
+
+// TestGenerateCellBound: Generate rejects n × Flows beyond MaxCells (the
+// multi-source engine's per-(flow, node) state) before materializing a
+// flow, naming both numbers; the product at the bound is accepted.
+func TestGenerateCellBound(t *testing.T) {
+	for _, c := range []struct {
+		n, flows int
+		ok       bool
+	}{
+		{n: 60, flows: 32, ok: true},
+		{n: 100000, flows: 32, ok: true},
+		{n: MaxCells / 64, flows: 64, ok: true},
+		{n: MaxCells/64 + 1, flows: 64},
+		{n: 100, flows: MaxFlows},
+		{n: math.MaxInt, flows: 2},
+	} {
+		s := Spec{Process: Bursty, Burst: 1 << 20, Every: 1, Flows: c.flows, Seed: 3}
+		flows, err := s.Generate(c.n)
+		if c.ok {
+			if err != nil || len(flows) != c.flows {
+				t.Fatalf("n=%d flows=%d: %d flows, err %v", c.n, c.flows, len(flows), err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("%d × %d", c.n, c.flows)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("n=%d flows=%d: want an error naming %q, got %v", c.n, c.flows, want, err)
+		}
 	}
 }
 
