@@ -3,7 +3,7 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-des bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-des figures trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
@@ -56,29 +56,15 @@ bench-batch:
 
 # Event-calendar engine gate: the calendar engines' n=1000 points diffed
 # against BENCH_PR7.json (its retired scalar rows print as not measured),
-# and a race pass over the wheel and shard suites plus the equivalence
-# suites that replay the scalar test oracles (MAC, multi-source MAC,
-# timed, wire protocol, parent chains, metric totals) and the figure-level
+# and a race pass over the wheel suites plus the equivalence suites that
+# replay the scalar test oracles (MAC, multi-source MAC, timed, wire
+# protocol, parent chains, metric totals) and the figure-level
 # recorded-bytes sweep.
 bench-des:
 	$(GO) test -run xxx -bench 'DES(MAC|Wire|Timed)/n=1000$$' -benchtime 10x . \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR7.json -threshold 0.10
-	$(GO) test -race -run 'DES|Wheel|Shards|MultiMAC|ParentChain|ParentScalar|MetricsParity' \
+	$(GO) test -race -run 'DES|Wheel|MultiMAC|ParentChain|ParentScalar|MetricsParity' \
 		./internal/des ./internal/broadcast ./internal/sim ./internal/experiment
-
-# Sharded construction-stage gate: the unit-disk sweep, clusterhead
-# election and coverage-digest curves diffed against BENCH_PR8.json
-# (-short keeps it to n≤10000), a race pass over the parallel-path
-# equivalence suites (digest, election, grid build, per-head coverage
-# assembly, and the experiment-level bit-identity sweep), and a
-# -buildworkers smoke through cmd/scale end to end.
-bench-build:
-	$(GO) test -short -run xxx -bench 'ShardedCoverage|ParallelCluster|ParallelTopology' -benchtime 10x \
-		./internal/coverage ./internal/cluster ./internal/topology \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR8.json -threshold 0.10
-	$(GO) test -race -run 'Parallel|BuildWorkers' \
-		./internal/coverage ./internal/cluster ./internal/topology ./internal/dynamicb ./internal/experiment
-	$(GO) run ./cmd/scale -n 2000 -d 12 -reps 1 -buildworkers 8
 
 # Full benchmark suite (several minutes).
 bench:
@@ -147,13 +133,15 @@ faults-smoke:
 	cksum artifacts/faults/*.csv
 
 # Fuzz smoke: ten seconds each for the reject-before-build topology
-# sampler against its full-build test oracle, for the two user-facing
+# sampler against its full-build test oracle, for the coverage digest
+# against its sort-then-dedupe test oracle, for the two user-facing
 # spec grammars (-faults, -traffic): every accepted spec validates and
 # round-trips through String, and for the dense multi-source MAC engine
 # against its slot-map test oracle. `go test -fuzz` takes one target per
 # package, hence the anchored names.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzGenerateRejectAgree$$' -fuzztime 10s ./internal/topology
+	$(GO) test -run xxx -fuzz '^FuzzResetParallelAgree$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run xxx -fuzz '^FuzzFaultsSpec$$' -fuzztime 10s ./internal/faults
 	$(GO) test -run xxx -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz '^FuzzMultiMACScalarDESAgree$$' -fuzztime 10s ./internal/broadcast

@@ -40,7 +40,6 @@ type config struct {
 	maxN     int
 	outDir   string
 	workers  int
-	buildW   int
 	batch    bool
 	cpuProf  string
 	memProf  string
@@ -127,6 +126,9 @@ func runners(cfg config, rule stats.StopRule, ns []int) map[string]func() *exper
 // come back as errors, diagnostics (missing-point causes) go to stderr. The
 // named return lets the deferred telemetry shutdown surface its error.
 func run(cfg config, stdout, stderr io.Writer) (retErr error) {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
 	if cfg.outDir != "" {
 		if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
 			return err
@@ -158,10 +160,9 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 		manifest.Seed = cfg.seed
 		manifest.Workers = cfg.workers
 		manifest.Param("fig", cfg.fig).Param("format", cfg.format).
-			Param("quick", cfg.quick).Param("maxn", cfg.maxN).Param("buildworkers", cfg.buildW)
+			Param("quick", cfg.quick).Param("maxn", cfg.maxN)
 	}
 	experiment.SetParallelism(cfg.workers)
-	experiment.SetBuildWorkers(cfg.buildW)
 	experiment.SetBatchReplication(cfg.batch)
 	rule := stats.PaperRule()
 	if cfg.quick {
@@ -222,8 +223,6 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 			if err := enc.Encode(f); err != nil {
 				return err
 			}
-		default:
-			return fmt.Errorf("unknown format %q", cfg.format)
 		}
 	}
 	if manifest != nil {
@@ -231,6 +230,20 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 		if err := manifest.WriteFile(cfg.manifest); err != nil {
 			return fmt.Errorf("writing manifest: %w", err)
 		}
+	}
+	return nil
+}
+
+// validate rejects flag values that cannot run, before any figure is
+// computed or any file is written.
+func (cfg config) validate() error {
+	switch cfg.format {
+	case "csv", "md", "chart", "json":
+	default:
+		return fmt.Errorf("unknown format %q (have csv, md, chart, json)", cfg.format)
+	}
+	if cfg.workers < 0 {
+		return fmt.Errorf("-workers %d: must be >= 0 (0: GOMAXPROCS)", cfg.workers)
 	}
 	return nil
 }
@@ -268,9 +281,6 @@ func main() {
 	flag.StringVar(&cfg.outDir, "out", "", "also write each figure as <dir>/<id>.csv")
 	flag.IntVar(&cfg.workers, "workers", 0,
 		"replication worker count (0: GOMAXPROCS); results are bit-identical for any value")
-	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"construction-stage shards inside each replicate — unit-disk sweep, clusterhead "+
-			"election, coverage digest (0: sequential reference paths; bit-identical for any value)")
 	flag.BoolVar(&cfg.batch, "batch", false,
 		"advance 64 replicates per machine word where the protocol and fault model allow it "+
 			"(loss/gossip sweeps); a different Monte-Carlo sample than the scalar default, "+

@@ -68,6 +68,36 @@ func TestRunUnknownFormat(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlagsBeforeWork: a bad -format or a negative -workers
+// fails before any figure is computed or any CSV is written.
+func TestRunRejectsBadFlagsBeforeWork(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*config)
+		want string
+	}{
+		{"format", func(c *config) { c.format = "xml" }, "unknown format"},
+		{"workers", func(c *config) { c.workers = -1 }, "-workers -1"},
+	} {
+		dir := filepath.Join(t.TempDir(), "out")
+		cfg := quickCfg()
+		cfg.fig = "6b,storm"
+		cfg.outDir = dir
+		tc.mod(&cfg)
+		var out bytes.Buffer
+		err := run(cfg, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want error containing %q, got %v", tc.name, tc.want, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s: wrote to stdout before failing:\n%s", tc.name, out.String())
+		}
+		if csvs, _ := filepath.Glob(filepath.Join(dir, "*.csv")); len(csvs) != 0 {
+			t.Fatalf("%s: wrote %v before failing", tc.name, csvs)
+		}
+	}
+}
+
 func TestRunBadMaxN(t *testing.T) {
 	cfg := quickCfg()
 	cfg.maxN = 5

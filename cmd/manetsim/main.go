@@ -48,7 +48,6 @@ type config struct {
 	wire      bool
 	load      string
 	workers   int
-	buildW    int
 	cpuProf   string
 	memProf   string
 	trace     string
@@ -192,7 +191,7 @@ func loadNetwork(cfg *config) (*core.Network, error) {
 		cfg.n = nw.N()
 		return nw, nil
 	}
-	return core.NewRandomNetwork(core.NetworkSpec{N: cfg.n, AvgDegree: cfg.d, Seed: cfg.seed, BuildWorkers: cfg.buildW})
+	return core.NewRandomNetwork(core.NetworkSpec{N: cfg.n, AvgDegree: cfg.d, Seed: cfg.seed})
 }
 
 // parseSpecs parses and validates the -faults and -traffic grammars, so a
@@ -400,9 +399,6 @@ func main() {
 	flag.StringVar(&cfg.load, "load", "", "load a topology snapshot (JSON, from topogen -save) instead of generating one")
 	flag.IntVar(&cfg.workers, "workers", 0,
 		"cap the Go scheduler's processor count (0: leave GOMAXPROCS at the default); single runs are sequential either way")
-	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"shard the unit-disk construction and clusterhead election over this many goroutines "+
-			"(0/1: sequential; the network is bit-identical for any value)")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file after the run")
 	flag.StringVar(&cfg.trace, "trace", "",

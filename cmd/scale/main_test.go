@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,7 +15,7 @@ import (
 
 func TestRunAllStages(t *testing.T) {
 	var out bytes.Buffer
-	cfg := config{n: 300, d: 12, seed: 11, reps: 2, workers: 1, stages: "static25,mocds,dynamic25"}
+	cfg := config{n: 300, d: 12, seed: 11, reps: 2, stages: "static25,mocds,dynamic25"}
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +27,68 @@ func TestRunAllStages(t *testing.T) {
 	}
 }
 
+// TestRunResultsPinned pins every stage's per-replicate result at a fixed
+// scenario, so any drift in sampling, election, the coverage digest,
+// gateway selection or the dynamic broadcast fails here.
+func TestRunResultsPinned(t *testing.T) {
+	var out bytes.Buffer
+	cfg := config{n: 2000, d: 12, seed: 2003, reps: 2, stages: "static25,mocds,dynamic25"}
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if i := strings.Index(line, "result="); i >= 0 {
+			f := strings.Fields(line)
+			got = append(got, f[0]+" "+f[1]+" "+line[i:])
+		}
+	}
+	want := []string{
+		"static25 rep=0 result=1024",
+		"static25 rep=1 result=1095",
+		"mocds rep=0 result=1140",
+		"mocds rep=1 result=1166",
+		"dynamic25 rep=0 result=935",
+		"dynamic25 rep=1 result=914",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("stage results drifted:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRunRejectsBadFlags: out-of-range sizes, replicate counts and degrees
+// fail before any output or sampling.
+func TestRunRejectsBadFlags(t *testing.T) {
+	base := config{n: 100, d: 12, seed: 1, reps: 1, stages: "static25"}
+	for _, tc := range []struct {
+		name string
+		mod  func(*config)
+		want string
+	}{
+		{"n=0", func(c *config) { c.n = 0 }, "-n 0"},
+		{"n<0", func(c *config) { c.n = -5 }, "-n -5"},
+		{"reps=0", func(c *config) { c.reps = 0 }, "-reps 0"},
+		{"reps<0", func(c *config) { c.reps = -2 }, "-reps -2"},
+		{"d=NaN", func(c *config) { c.d = math.NaN() }, "-d NaN"},
+		{"d=+Inf", func(c *config) { c.d = math.Inf(1) }, "-d +Inf"},
+		{"d=0", func(c *config) { c.d = 0 }, "-d 0"},
+		{"d<0", func(c *config) { c.d = -3 }, "-d -3"},
+	} {
+		cfg := base
+		tc.mod(&cfg)
+		var out bytes.Buffer
+		err := run(cfg, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote output before failing:\n%s", tc.name, out.String())
+		}
+	}
+}
+
 func TestRunUnknownStage(t *testing.T) {
-	cfg := config{n: 100, d: 12, seed: 1, reps: 1, workers: 1, stages: "warp"}
+	cfg := config{n: 100, d: 12, seed: 1, reps: 1, stages: "warp"}
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown stage") {
 		t.Fatalf("want unknown-stage error, got %v", err)
 	}
@@ -36,7 +97,7 @@ func TestRunUnknownStage(t *testing.T) {
 // TestRunSampleErrorPropagates: an unsatisfiable topology spec must surface
 // the generator's diagnosis (the attempt cap), not a generic shrug.
 func TestRunSampleErrorPropagates(t *testing.T) {
-	cfg := config{n: 400, d: 2, seed: 1, reps: 1, workers: 1, stages: "static25"}
+	cfg := config{n: 400, d: 2, seed: 1, reps: 1, stages: "static25"}
 	err := run(cfg, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("sparse spec unexpectedly sampled a connected topology")
@@ -50,7 +111,7 @@ func TestRunSampleErrorPropagates(t *testing.T) {
 }
 
 func TestRunTraceNeedsDynamicStage(t *testing.T) {
-	cfg := config{n: 100, d: 12, seed: 1, reps: 1, workers: 1, stages: "static25",
+	cfg := config{n: 100, d: 12, seed: 1, reps: 1, stages: "static25",
 		trace: filepath.Join(t.TempDir(), "t.jsonl")}
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "dynamic25") {
 		t.Fatalf("want dynamic25-required error, got %v", err)
@@ -64,7 +125,7 @@ func TestRunManifestAndTrace(t *testing.T) {
 	mpath := filepath.Join(dir, "manifest.json")
 	tpath := filepath.Join(dir, "trace.jsonl")
 	var out bytes.Buffer
-	cfg := config{n: 300, d: 12, seed: 11, reps: 2, workers: 2, stages: "dynamic25",
+	cfg := config{n: 300, d: 12, seed: 11, reps: 2, stages: "dynamic25",
 		manifest: mpath, trace: tpath}
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
@@ -77,7 +138,7 @@ func TestRunManifestAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Tool != "scale" || m.Seed != 11 || m.Workers != 2 || m.Params["stages"] != "dynamic25" {
+	if m.Tool != "scale" || m.Seed != 11 || m.Params["stages"] != "dynamic25" {
 		t.Fatalf("manifest identity wrong: %+v", m)
 	}
 	stages := map[string]obs.StageStat{}

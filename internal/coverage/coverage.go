@@ -30,10 +30,10 @@
 package coverage
 
 import (
+	"math"
 	"sort"
 
 	"clustercast/internal/cluster"
-	"clustercast/internal/des"
 	"clustercast/internal/graph"
 )
 
@@ -170,40 +170,31 @@ type Builder struct {
 	// rule and w not adjacent to v).
 	ch2 [][]Hop2Entry
 
-	// Digest backing and scratch, reused across Reset calls so a builder
-	// owned by a per-worker workspace re-digests without allocating.
+	// Digest backing, reused across Reset calls so a builder owned by a
+	// per-worker workspace re-digests without allocating: ch1backing
+	// holds every ch1 view, chunks every ch2 view (see nextChunk), and
+	// d32 is the dense-index shadow of the CH_HOP1 digest.
 	ch1backing []int
-	ch2backing []Hop2Entry
-	// asm is the builder-owned assembly scratch used by Reset's CH_HOP2
-	// pass and by OfReuse/OfShared. Parallel callers assemble through
-	// OfScratch with their own AsmScratch instead.
-	asm       AsmScratch
-	cnt       []int
-	scratch   []Hop2Entry
+	chunks     [][]Hop2Entry
+	d32        digest32
+	// asm is the mark array of Reset's CH_HOP2 pass (over dense head
+	// indices) and of coverage assembly in OfReuse (over node IDs); the
+	// epoch stamps keep the two uses apart.
+	asm       asmScratch
 	sharedCov Coverage
-
-	// Sharded digest state (ResetParallel): the strip partitioner, the
-	// per-worker arenas/scratch, and the int32 digest shadow. Untouched by
-	// Reset.
-	sh     des.Shards
-	shards []buildShard
-	d32    digest32
 }
 
-// AsmScratch is the epoch-stamped mark array one coverage assembly uses:
-// mark[w] == e marks membership of w for the current stamp e, so clearing
-// between assemblies is a counter bump instead of an O(n/64) bitset clear —
-// the difference between an O(m) and an O(n²) digest pass at 10k+ nodes.
-//
-// The builder embeds one for its serial paths; workers sharding per-head
-// assembly across goroutines own one each (see OfScratch).
-type AsmScratch struct {
+// asmScratch is an epoch-stamped mark array: mark[w] == e marks membership
+// of w for the current stamp e, so clearing between nodes or assemblies is
+// a counter bump instead of an O(n/64) bitset clear — the difference
+// between an O(m) and an O(n²) digest pass at 10k+ nodes.
+type asmScratch struct {
 	mark  []uint32
 	epoch uint32
 }
 
 // ensure sizes the mark array for an n-node universe.
-func (s *AsmScratch) ensure(n int) {
+func (s *asmScratch) ensure(n int) {
 	if cap(s.mark) < n {
 		s.mark = make([]uint32, n)
 		s.epoch = 0
@@ -213,7 +204,7 @@ func (s *AsmScratch) ensure(n int) {
 
 // stamps reserves k fresh epoch values and returns the first; on wrap the
 // stale stamps are flushed over the full mark capacity first.
-func (s *AsmScratch) stamps(k uint32) uint32 {
+func (s *asmScratch) stamps(k uint32) uint32 {
 	if s.epoch > ^uint32(0)-k {
 		full := s.mark[:cap(s.mark)]
 		for i := range full {
@@ -237,6 +228,12 @@ func NewBuilder(g *graph.Graph, cl *cluster.Clustering, mode Mode) *Builder {
 // Reset re-digests the builder for a new clustered network, reusing every
 // internal buffer. All slices and coverage sets previously served by the
 // builder are invalidated.
+//
+// The CH_HOP2 pass deduplicates candidates before sorting them: entries
+// stream by in ascending relay order through two epoch stamps (adjacent
+// head, already sighted), so the first sighting of a clusterhead already
+// carries its lowest-ID relay and only the few survivors need sorting.
+// All random probes go through the dense-index int32 shadow (digest32).
 func (b *Builder) Reset(g *graph.Graph, cl *cluster.Clustering, mode Mode) {
 	n := g.N()
 	b.g, b.cl, b.mode = g, cl, mode
@@ -246,120 +243,208 @@ func (b *Builder) Reset(g *graph.Graph, cl *cluster.Clustering, mode Mode) {
 	}
 	b.ch1 = b.ch1[:n]
 	b.ch2 = b.ch2[:n]
-	for v := range b.ch2 {
-		b.ch2[v] = nil
+
+	heads, head := cl.Heads, cl.Head
+	nh := len(heads)
+	d := &b.d32
+	if cap(d.code) < n {
+		buf := make([]int32, 2*n+1)
+		d.code, d.off = buf[:n:n], buf[n:]
+	}
+	code := d.code[:n]
+	off := d.off[:n+1]
+	for i, h := range heads {
+		code[h] = int32(i)
 	}
 
 	// CH_HOP1 digests: ch1[v] is exactly the head-neighbors of v, so the
 	// pass iterates the heads and scatters each head into its neighbors'
 	// lists (count, prefix-sum, cursor fill) instead of testing IsHead on
 	// all 2m neighbor entries — only edges incident to a clusterhead are
-	// touched, a ~(k/n)·2m fraction of the graph. Heads come ascending in
-	// cl.Heads and each head appears once, so every ch1[v] is sorted and
-	// duplicate-free by construction.
-	if cap(b.cnt) < n+1 {
-		b.cnt = make([]int, n+1)
-	}
-	cnt := b.cnt[:n+1]
-	for i := range cnt {
-		cnt[i] = 0
+	// touched, a ~(k/n)·2m fraction of the graph. The count pass also
+	// renumbers the cluster assignment into dense head indices.
+	for v := 0; v < n; v++ {
+		off[v] = 0
+		if h := head[v]; h != v {
+			code[v] = code[h]
+		}
 	}
 	total := 0
-	for _, h := range cl.Heads {
+	for _, h := range heads {
 		for _, v := range g.Neighbors(h) {
-			cnt[v]++
-			total++
+			off[v]++
 		}
+		total += g.Degree(h)
+	}
+	// The int32 digest shadow addresses CH_HOP1 entries with 31-bit
+	// offsets. Σ deg(head) ≈ n·d̄/π stays far below 2³¹ for every paper
+	// regime (n=1M at d=18 is ~1.8M entries); a graph dense enough to
+	// overflow would need ~2.1 billion head-adjacencies, so fail loudly
+	// instead of corrupting the digest.
+	if int64(total) > math.MaxInt32 {
+		panic("coverage: CH_HOP1 digest exceeds 2^31 entries; the int32 digest shadow cannot address it")
 	}
 	if cap(b.ch1backing) < total {
 		b.ch1backing = make([]int, total)
 	}
-	backing := b.ch1backing[:total]
-	// Prefix-sum the counts into start offsets, publish the (still empty)
-	// per-node views, then fill with per-node cursors.
-	off := 0
-	for v := 0; v < n; v++ {
-		c := cnt[v]
-		b.ch1[v] = backing[off : off+c : off+c]
-		cnt[v] = off
-		off += c
+	if cap(d.dat) < total {
+		d.dat = make([]int32, total)
 	}
-	for _, h := range cl.Heads {
+	backing := b.ch1backing[:total]
+	dat := d.dat[:total]
+	// Prefix-sum the counts into end offsets, then fill every node's slots
+	// back to front with the heads in descending order: that leaves off[v]
+	// at v's start offset and every ch1[v] sorted ascending and
+	// duplicate-free. The []int backing and the dense-index shadow are
+	// filled through the same cursors; the CH_HOP2 loop below publishes
+	// the ch1 views.
+	end := int32(0)
+	for v := 0; v < n; v++ {
+		end += off[v]
+		off[v] = end
+	}
+	off[n] = end
+	for di := nh - 1; di >= 0; di-- {
+		h := heads[di]
 		for _, v := range g.Neighbors(h) {
-			backing[cnt[v]] = h
-			cnt[v]++
+			c := off[v] - 1
+			backing[c] = h
+			dat[c] = int32(di)
+			off[v] = c
 		}
+	}
+	for _, h := range heads {
+		code[h] = -1 // clusterheads send no CH_HOP1 message
 	}
 	b.ch1backing = backing
+	d.dat = dat
 
-	// CH_HOP2 digests: collect candidate (w, r) entries into a reusable
-	// scratch, sort by (w, r) and keep the lowest-ID relay per w. The
-	// deduplicated entries are packed into one growing backing array —
-	// earlier slices stay valid across reallocation, and the per-node
-	// allocation disappears from this hot constructor.
+	// CH_HOP2 digests: stream candidates in ascending relay order through
+	// two stamps — epA marks v's adjacent heads (never reported), epB marks
+	// clusterheads already sighted for v (the first sighting has the lowest
+	// relay: "first entry wins") — then insertion-sort the deduplicated
+	// survivors. The marks live in dense-index space: only the first
+	// |heads| entries of the mark array are touched (L1-resident at
+	// n=100k), and dense order is head-ID order.
 	b.asm.ensure(n)
-	if b.scratch == nil {
-		b.scratch = make([]Hop2Entry, 0, 64)
+	mark := b.asm.mark
+	// A node's survivors are its distinct 2-hop clusterheads, at most 8
+	// per node in the paper's regimes, so the candidate list lives on the
+	// stack and rarely grows.
+	var buf [16]Hop2Entry
+	scratch := buf[:0]
+	for i := range b.chunks {
+		b.chunks[i] = b.chunks[i][:0]
 	}
-	scratch := b.scratch[:0]
-	if cap(b.ch2backing) < n {
-		b.ch2backing = make([]Hop2Entry, 0, n)
-	}
-	ch2backing := b.ch2backing[:0]
+	ci := 0 // index of the arena chunk being filled
 	for v := 0; v < n; v++ {
-		if cl.IsHead(v) {
+		lo, hi := off[v], off[v+1]
+		b.ch1[v] = backing[lo:hi:hi]
+		if head[v] == v {
+			b.ch2[v] = nil
 			continue
 		}
-		epoch := b.asm.stamps(1)
-		mark := b.asm.mark
-		for _, w := range b.ch1[v] {
-			mark[w] = epoch
+		nb := g.Neighbors(v)
+		epA := b.asm.stamps(2)
+		epB := epA + 1
+		for _, wi := range dat[lo:hi] {
+			mark[wi] = epA
 		}
 		scratch = scratch[:0]
-		for _, r := range g.Neighbors(v) {
-			if cl.IsHead(r) {
-				continue // CH_HOP1 messages come from non-clusterheads only
-			}
-			switch mode {
-			case Hop25:
-				// Only r's own clusterhead generates an entry.
-				if w := cl.Head[r]; mark[w] != epoch {
-					scratch = append(scratch, Hop2Entry{W: w, R: r})
+		if mode == Hop25 {
+			// Only r's own clusterhead generates an entry.
+			for _, r := range nb {
+				if wi := code[r]; wi >= 0 && mark[wi] < epA {
+					mark[wi] = epB
+					scratch = append(scratch, Hop2Entry{W: heads[wi], R: r})
 				}
-			case Hop3:
-				// Every clusterhead r hears directly generates an entry.
-				for _, w := range b.ch1[r] {
-					if mark[w] != epoch {
-						scratch = append(scratch, Hop2Entry{W: w, R: r})
+			}
+		} else {
+			// Every clusterhead r hears directly generates an entry. No
+			// is-head test: a clusterhead r has an empty ch1 list
+			// (clusterheads are pairwise non-adjacent), so the inner loop
+			// skips it for free.
+			for _, r := range nb {
+				for _, wi := range dat[off[r]:off[r+1]] {
+					if mark[wi] < epA {
+						mark[wi] = epB
+						scratch = append(scratch, Hop2Entry{W: heads[wi], R: r})
 					}
 				}
 			}
 		}
 		if len(scratch) == 0 {
+			b.ch2[v] = nil
 			continue
 		}
-		sortEntries(scratch)
-		start := len(ch2backing)
-		for _, e := range scratch {
-			if len(ch2backing) > start && ch2backing[len(ch2backing)-1].W == e.W {
-				continue // keep the lowest-ID relay ("first entry wins")
-			}
-			ch2backing = append(ch2backing, e)
+		sortEntriesByW(scratch)
+		if ci == len(b.chunks) || len(b.chunks[ci])+len(scratch) > cap(b.chunks[ci]) {
+			ci = b.nextChunk(ci, len(scratch), n)
 		}
-		b.ch2[v] = ch2backing[start:len(ch2backing):len(ch2backing)]
+		cur := b.chunks[ci]
+		start := len(cur)
+		cur = append(cur, scratch...)
+		b.chunks[ci] = cur
+		b.ch2[v] = cur[start:len(cur):len(cur)]
 	}
-	b.scratch = scratch
-	b.ch2backing = ch2backing
 }
 
-// sortEntries orders CH_HOP2 entries by (W, R). The lists are tiny (one
-// entry per 2-hop clusterhead sighting), so a straight insertion sort beats
-// the generic sort machinery in the builder's hot loop.
-func sortEntries(es []Hop2Entry) {
+// arenaChunk is the cap, in entries, on the CH_HOP2 arena's chunk size
+// (1 MiB chunks). One node's entries always live in one chunk: a node
+// that does not fit moves on to the next chunk, and a node with more
+// entries than a fresh chunk holds gets a dedicated chunk of its own size.
+const arenaChunk = 1 << 16
+
+// nextChunk returns the index of the first arena chunk after ci with room
+// for k entries, opening a new chunk when none is left. The CH_HOP2 arena
+// is chunked so published views stay valid without pinning dead arena
+// generations: with one growing array, every realloc kept the previous
+// array alive through the views published before it, and at n=10⁶ the
+// ballooning heap turned the digest into a GC storm. The first chunk is
+// sized from the node count n and each further one doubles up to
+// arenaChunk, so a fresh builder on a small network allocates about what
+// its entries need. Chunks are kept and refilled across Reset calls.
+func (b *Builder) nextChunk(ci, k, n int) int {
+	if ci < len(b.chunks) {
+		ci++ // chunk ci is the current one, and it lacks room
+	}
+	for ; ci < len(b.chunks); ci++ {
+		if cap(b.chunks[ci]) >= k {
+			return ci
+		}
+	}
+	c := min(n, arenaChunk)
+	if ci > 0 {
+		c = min(2*cap(b.chunks[ci-1]), arenaChunk)
+	} else if b.chunks == nil {
+		b.chunks = make([][]Hop2Entry, 0, 4)
+	}
+	b.chunks = append(b.chunks, make([]Hop2Entry, 0, max(c, k)))
+	return ci
+}
+
+// digest32 is the packed shadow of the CH_HOP1 digests and the cluster
+// assignment Reset builds alongside the []int views it publishes.
+// Clusterheads are renumbered into dense indices 0..|heads|−1 (ascending,
+// so dense order equals ID order): the CH_HOP2 pass performs ~2m random
+// probes, and in dense-index space its marks span |heads| entries (~40 KB
+// at n=100k, L1-resident) instead of n, while the per-relay tables shrink
+// to one int32 load each.
+type digest32 struct {
+	code []int32 // code[v]: dense index of head[v], −1 at clusterheads
+	off  []int32 // ch1 CSR offsets: ch1 of v is dat[off[v]:off[v+1]]
+	dat  []int32 // ch1 CSR entries as dense head indices
+}
+
+// sortEntriesByW orders already-deduplicated CH_HOP2 entries by
+// clusterhead ID. The Ws are distinct, so no relay tiebreak is needed, and
+// the lists are tiny, so a straight insertion sort beats the generic sort
+// machinery in the digest's hot loop.
+func sortEntriesByW(es []Hop2Entry) {
 	for i := 1; i < len(es); i++ {
 		e := es[i]
 		j := i - 1
-		for j >= 0 && (es[j].W > e.W || (es[j].W == e.W && es[j].R > e.R)) {
+		for j >= 0 && es[j].W > e.W {
 			es[j+1] = es[j]
 			j--
 		}
@@ -411,18 +496,11 @@ func (b *Builder) OfShared(u int) *Coverage {
 // bitsets and backing arrays. It panics when u is not a clusterhead of the
 // clustering.
 func (b *Builder) OfReuse(u int, c *Coverage) *Coverage {
-	return b.OfScratch(u, c, &b.asm)
-}
-
-// OfScratch is OfReuse with caller-provided assembly scratch. After Reset
-// the builder's digests are read-only, so OfScratch is safe to call from
-// multiple goroutines concurrently as long as each caller passes its own
-// c and scr — the sharded per-clusterhead selection path relies on this.
-func (b *Builder) OfScratch(u int, c *Coverage, scr *AsmScratch) *Coverage {
 	if !b.cl.IsHead(u) {
 		panic("coverage: Of called on a non-clusterhead")
 	}
 	n := b.g.N()
+	scr := &b.asm
 	scr.ensure(n)
 	c.Head, c.Mode = u, b.mode
 	if c.C2 == nil {

@@ -30,8 +30,7 @@ import (
 //	}
 //
 // The zero value is ready for Reset. Wheel is not safe for concurrent
-// use; the sharded engines keep one wheel and parallelize only the
-// fan-out inside a slot (see Shards).
+// use.
 type Wheel[E any] struct {
 	buckets [][]E    // ring of per-slot event buckets
 	occ     []uint64 // occupancy bitmap over ring positions

@@ -29,7 +29,6 @@ import (
 	"clustercast/internal/broadcast"
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
-	"clustercast/internal/des"
 	"clustercast/internal/graph"
 	"clustercast/internal/obs"
 )
@@ -90,15 +89,6 @@ type Protocol struct {
 	hcur    int
 	packets []*packet
 	pcur    int
-
-	// Parallel per-clusterhead coverage assembly (initWorkers > 1): the
-	// head-strip partitioner and one assembly scratch per worker. Each
-	// head's Coverage is assembled into its own covArena slot by exactly
-	// one worker, so the arena contents are identical to the sequential
-	// loop's for any worker count.
-	initWorkers int
-	sh          des.Shards
-	scrs        []coverage.AsmScratch
 }
 
 var _ broadcast.Protocol = (*Protocol)(nil)
@@ -131,26 +121,6 @@ func (p *Protocol) init(b *coverage.Builder, g *graph.Graph, cl *cluster.Cluster
 	p.covByNode = p.covByNode[:n]
 	for i := range p.covByNode {
 		p.covByNode[i] = nil
-	}
-	if p.initWorkers > 1 {
-		p.sh.ResetRange(len(cl.Heads), p.initWorkers)
-		k := p.sh.K()
-		if cap(p.scrs) < k {
-			p.scrs = make([]coverage.AsmScratch, k)
-		}
-		p.scrs = p.scrs[:k]
-		sh := &p.sh
-		sh.Each(p.initWorkers, func(s int) {
-			scr := &p.scrs[s]
-			lo, hi := sh.Range(s)
-			for i := lo; i < hi; i++ {
-				h := cl.Heads[i]
-				c := &p.covArena[i]
-				b.OfScratch(h, c, scr)
-				p.covByNode[h] = c // distinct h per head index: single writer
-			}
-		})
-		return
 	}
 	for i, h := range cl.Heads {
 		c := &p.covArena[i]

@@ -11,12 +11,6 @@ import (
 // arenas, so a worker can rebuild the dynamic-backbone protocol for a new
 // network every replicate without allocating in steady state.
 type Workspace struct {
-	// BuildWorkers shards the coverage digest inside NewWith over this many
-	// goroutines when > 0 (through coverage.Builder.ResetParallel, which is
-	// bit-identical to Reset for any worker count). Zero keeps the
-	// reference sequential digest.
-	BuildWorkers int
-
 	builder coverage.Builder
 	proto   Protocol
 }
@@ -34,12 +28,7 @@ func NewWorkspace() *Workspace {
 // returned protocol — and any result derived from a prior one — is valid
 // only until the next NewWith call on the same workspace.
 func (ws *Workspace) NewWith(g *graph.Graph, cl *cluster.Clustering, mode coverage.Mode) *Protocol {
-	if ws.BuildWorkers > 0 {
-		ws.builder.ResetParallel(g, cl, mode, ws.BuildWorkers)
-	} else {
-		ws.builder.Reset(g, cl, mode)
-	}
-	ws.proto.initWorkers = ws.BuildWorkers
+	ws.builder.Reset(g, cl, mode)
 	ws.proto.init(&ws.builder, g, cl)
 	return &ws.proto
 }

@@ -186,45 +186,6 @@ func SetParallelism(n int) {
 	parallelism.Store(int64(n))
 }
 
-// buildWorkers holds the configured construction-stage worker count: how
-// many goroutines the per-replicate pipeline stages (unit-disk sweep,
-// clusterhead election, coverage digest) shard over. 0 — the default —
-// keeps the sequential reference paths. Every sharded path is
-// bit-identical to its reference for any worker count, so this knob only
-// moves wall clock, never results.
-var buildWorkers atomic.Int64
-
-// BuildWorkers returns the configured construction-stage worker count
-// (0 = sequential reference paths).
-func BuildWorkers() int { return int(buildWorkers.Load()) }
-
-// SetBuildWorkers configures how many goroutines the construction stages
-// shard over; n <= 0 restores the sequential default. Like
-// SetParallelism, runs snapshot the value when they touch it, so
-// concurrent changes never tear a replicate.
-func SetBuildWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	buildWorkers.Store(int64(n))
-}
-
-// effectiveBuildWorkers is the goroutine count construction stages
-// actually use: the configured value clamped to GOMAXPROCS — goroutines
-// beyond the core count cannot help a CPU-bound shard and only add
-// handoff overhead, and bit-identity makes the clamp invisible in the
-// results. 0 means the knob is off.
-func effectiveBuildWorkers() int {
-	w := int(buildWorkers.Load())
-	if w <= 0 {
-		return 0
-	}
-	if p := runtime.GOMAXPROCS(0); w > p {
-		w = p
-	}
-	return w
-}
-
 // ForEachPoint runs fn(0..n-1) across the worker pool and waits for all
 // of them. fn must write only to its own slot of any shared slice.
 func ForEachPoint(n int, fn func(i int)) {

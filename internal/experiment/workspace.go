@@ -29,7 +29,6 @@ import (
 type Workspace struct {
 	Topo     *topology.Workspace
 	Cluster  *cluster.Workspace
-	PCluster *cluster.ParallelWorkspace
 	Builder  coverage.Builder
 	Backbone *backbone.Workspace
 	MOCDS    *mocds.Workspace
@@ -52,7 +51,6 @@ func NewWorkspace() *Workspace {
 	return &Workspace{
 		Topo:     topology.NewWorkspace(),
 		Cluster:  cluster.NewWorkspace(),
-		PCluster: cluster.NewParallelWorkspace(),
 		Backbone: backbone.NewWorkspace(),
 		MOCDS:    mocds.NewWorkspace(),
 		Dynamic:  dynamicb.NewWorkspace(),
@@ -72,12 +70,6 @@ func (sc Scenario) SampleWS(ws *Workspace, label string, rep int) (*topology.Net
 		defer ws.Clock.Observe("sample", time.Now())
 	}
 	ws.rng.SeedLabeled(sc.Seed^uint64(rep)*0x9E3779B97F4A7C15, label)
-	// Propagate the construction knob to the stages with their own builders.
-	// Every sharded path is bit-identical to its sequential reference, so
-	// the sample (and everything derived from it) does not depend on this.
-	bw := effectiveBuildWorkers()
-	ws.Topo.BuildWorkers = bw
-	ws.Dynamic.BuildWorkers = bw
 	nw, err := topology.GenerateWith(topology.Config{
 		N: sc.N, Bounds: sc.Bounds, AvgDegree: sc.AvgDegree,
 		RequireConnected: true, MaxAttempts: 200,
@@ -153,30 +145,15 @@ func sweepWS(name string, ns []int, d float64, seed uint64, rule stats.StopRule,
 	return s
 }
 
-// Elect runs the lowest-ID clusterhead election through the configured
-// construction path: the worklist election sharded over the
-// -buildworkers goroutines when the knob is on and more than one core is
-// available, the reference round-scan Workspace otherwise (the worklist
-// is bit-identical but has no sequential edge, so one effective worker
-// keeps the reference). The returned Clustering is workspace-owned.
+// Elect runs the lowest-ID clusterhead election on the workspace. The
+// returned Clustering is workspace-owned.
 func (ws *Workspace) Elect(g *graph.Graph) *cluster.Clustering {
-	if w := effectiveBuildWorkers(); w > 1 {
-		return ws.PCluster.LowestID(g, w)
-	}
 	return ws.Cluster.LowestID(g)
 }
 
-// Digest re-digests the workspace coverage builder through the configured
-// construction path. With the knob on it always takes ResetParallel —
-// its restructured CH_HOP2 pass (dedupe-before-sort, dense-index probes)
-// is faster than Reset even at one worker — and shards it across the
-// effective worker count; knob off keeps the golden-reference Reset.
-// Either way the published digests are bit-identical.
+// Digest re-digests the workspace coverage builder for a clustered
+// network.
 func (ws *Workspace) Digest(g *graph.Graph, cl *cluster.Clustering, mode coverage.Mode) {
-	if w := effectiveBuildWorkers(); w > 0 {
-		ws.Builder.ResetParallel(g, cl, mode, w)
-		return
-	}
 	ws.Builder.Reset(g, cl, mode)
 }
 
@@ -190,9 +167,9 @@ func clusteredSampleWS(ws *Workspace, sc Scenario, label string, rep int) (*topo
 	return nw, ws.Elect(nw.G), r, true
 }
 
-// StaticSizeEstimatorWS is StaticSizeEstimator over a reusable workspace:
-// same labels, same replicate randomness, same statistic — near-zero
-// allocations.
+// StaticSizeEstimatorWS measures |static backbone| under a coverage mode
+// (Figure 6 series "static backbone") over a reusable workspace, with
+// near-zero allocations.
 func StaticSizeEstimatorWS(mode coverage.Mode) WSEstimator {
 	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
 		nw, cl, _, ok := clusteredSampleWS(ws, sc, "fig6-static", rep)
@@ -204,7 +181,8 @@ func StaticSizeEstimatorWS(mode coverage.Mode) WSEstimator {
 	}
 }
 
-// MOCDSSizeEstimatorWS is MOCDSSizeEstimator over a reusable workspace.
+// MOCDSSizeEstimatorWS measures |MO_CDS| (Figure 6 series "MO_CDS") over
+// a reusable workspace.
 func MOCDSSizeEstimatorWS() WSEstimator {
 	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
 		nw, cl, _, ok := clusteredSampleWS(ws, sc, "fig6-mocds", rep)
@@ -216,8 +194,9 @@ func MOCDSSizeEstimatorWS() WSEstimator {
 	}
 }
 
-// DynamicForwardEstimatorWS is DynamicForwardEstimator over a reusable
-// workspace.
+// DynamicForwardEstimatorWS measures the forward-node-set size of one
+// dynamic-backbone broadcast from a random source (Figure 7/8 series
+// "dynamic backbone") over a reusable workspace.
 func DynamicForwardEstimatorWS(mode coverage.Mode) WSEstimator {
 	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
 		nw, cl, r, ok := clusteredSampleWS(ws, sc, "fig7-dynamic", rep)
@@ -230,8 +209,9 @@ func DynamicForwardEstimatorWS(mode coverage.Mode) WSEstimator {
 	}
 }
 
-// StaticForwardEstimatorWS is StaticForwardEstimator over a reusable
-// workspace.
+// StaticForwardEstimatorWS measures the forward-node-set size of a
+// broadcast over the static backbone from a random source (Figure 8
+// series "static backbone") over a reusable workspace.
 func StaticForwardEstimatorWS(mode coverage.Mode) WSEstimator {
 	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
 		nw, cl, r, ok := clusteredSampleWS(ws, sc, "fig8-static", rep)
@@ -245,8 +225,9 @@ func StaticForwardEstimatorWS(mode coverage.Mode) WSEstimator {
 	}
 }
 
-// MOCDSForwardEstimatorWS is MOCDSForwardEstimator over a reusable
-// workspace.
+// MOCDSForwardEstimatorWS measures the forward-node-set size of a
+// broadcast over the MO_CDS from a random source (Figure 7 series
+// "MO_CDS") over a reusable workspace.
 func MOCDSForwardEstimatorWS() WSEstimator {
 	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
 		nw, cl, r, ok := clusteredSampleWS(ws, sc, "fig7-mocds", rep)

@@ -248,9 +248,9 @@ func (g *Grid) RowCells(cy int) [][]int { return g.cells[cy*g.cols : (cy+1)*g.co
 // once — half the work of querying Within for every point. Every pair is
 // reported by exactly one row, the one holding its first cell in sweep
 // order, so PairsRows over a partition of [0, Rows()) reports every pair
-// of the grid once. Disjoint row bands only read shared state, which is
-// how the parallel unit-disk construction shards the sweep without
-// locking. Like Within, radius must not exceed the grid cell size.
+// of the grid once, which lets the unit-disk construction sweep one row
+// at a time and stop early. Like Within, radius must not exceed the grid
+// cell size.
 func (g *Grid) PairsRows(radius float64, fromRow, toRow int, fn func(u, v int)) {
 	if radius > g.cell+1e-9 {
 		panic("geom: query radius exceeds grid cell size")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"clustercast/internal/des"
 	"clustercast/internal/geom"
 	"clustercast/internal/graph"
 	"clustercast/internal/rng"
@@ -23,12 +22,6 @@ import (
 // The Network returned by GenerateWith is owned by the workspace and valid
 // only until the next GenerateWith call on the same workspace.
 type Workspace struct {
-	// BuildWorkers shards the unit-disk sweep and segment sort over this
-	// many goroutines when > 1 (see buildParallel); the assembled graph is
-	// bit-identical to the sequential build for any value. Zero or one
-	// keeps the fully sequential path.
-	BuildWorkers int
-
 	positions []geom.Point
 	grid      geom.Grid
 	edges     []uint64
@@ -38,10 +31,6 @@ type Workspace struct {
 	scratch   *graph.Scratch
 	g         graph.Graph
 	nw        Network
-
-	// Parallel-build state: the row/strip partitioner and per-band arenas.
-	sh    des.Shards
-	bands []buildBand
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -135,8 +124,7 @@ func (ws *Workspace) place(n int, bounds geom.Rect, r *rng.Stream) {
 // row cy is swept every node stored in row cy has its final degree. With
 // rejectIsolated, build returns nil at the first such row holding a
 // degree-0 node: the graph cannot be connected, and no adjacency has been
-// assembled yet. The parallel band path ignores rejectIsolated and always
-// builds.
+// assembled yet.
 //
 // The graph is assembled directly in compressed-sparse-row form: degrees
 // are counted during the pair sweep, offsets are one prefix-sum pass, the
@@ -164,9 +152,6 @@ func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius floa
 	ws.grid.Reset(bounds, gridCell)
 	for _, p := range positions {
 		ws.grid.Insert(p)
-	}
-	if ws.BuildWorkers > 1 {
-		return ws.buildParallel(positions, radius, ws.BuildWorkers)
 	}
 	// One half-neighborhood sweep distance-tests every candidate pair once;
 	// edges are packed into one slice sized from the Poisson degree
