@@ -133,7 +133,8 @@ faults-smoke:
 	cksum artifacts/faults/*.csv
 
 # Fuzz smoke: ten seconds each for the reject-before-build topology
-# sampler against its full-build test oracle, for the coverage digest
+# sampler and for its cell-sorted unit-disk build, both against the
+# brute-force unit-disk-graph test oracle, for the coverage digest
 # against its sort-then-dedupe test oracle, for the two user-facing
 # spec grammars (-faults, -traffic): every accepted spec validates and
 # round-trips through String, and for the dense multi-source MAC engine
@@ -141,6 +142,7 @@ faults-smoke:
 # package, hence the anchored names.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzGenerateRejectAgree$$' -fuzztime 10s ./internal/topology
+	$(GO) test -run xxx -fuzz '^FuzzBuildAgree$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run xxx -fuzz '^FuzzResetParallelAgree$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run xxx -fuzz '^FuzzFaultsSpec$$' -fuzztime 10s ./internal/faults
 	$(GO) test -run xxx -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/workload

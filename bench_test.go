@@ -700,30 +700,44 @@ func BenchmarkElection(b *testing.B) {
 }
 
 // BenchmarkTopologyGenerate measures raw connected-topology sampling at the
-// paper's dense operating point (n=100, d=18): placement, spatial-grid
-// neighbor discovery, graph assembly, and the connectivity check. The
+// paper's dense operating point (n=100, d=18): placement, the cell-sorted
+// layout and pair sweep, the connectivity check, and graph assembly. The
 // sparse n=80,d=4 row is storm's sparsest series under the experiment
 // package's budget of 200 draws, where nearly every draw is rejected; an
-// exhausted budget is a skip, as in the figures, not a failure.
+// exhausted budget is a skip, as in the figures, not a failure. The ws/
+// rows reuse one topology.Workspace across iterations, as every replicate
+// loop does, so their allocs/op is the sampler's steady state.
 func BenchmarkTopologyGenerate(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
 		n        int
 		deg      float64
 		attempts int
+		reuse    bool
 	}{
-		{"n=100", 100, 18, 0},
-		{"n=500", 500, 18, 0},
-		{"n=80,d=4", 80, 4, 200},
+		{"n=100", 100, 18, 0, false},
+		{"n=500", 500, 18, 0, false},
+		{"n=80,d=4", 80, 4, 200, false},
+		{"ws/n=80,d=4", 80, 4, 200, true},
+		{"ws/n=80,d=6", 80, 6, 0, true},
+		{"ws/n=100,d=18", 100, 18, 0, true},
+		{"ws/n=100000,d=18", 100000, 18, 0, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			cfg := topology.Config{
+				N: tc.n, Bounds: geom.Square(100), AvgDegree: tc.deg,
+				RequireConnected: true, MaxAttempts: tc.attempts,
+			}
+			ws := topology.NewWorkspace()
 			r := rng.New(42)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := topology.Generate(topology.Config{
-					N: tc.n, Bounds: geom.Square(100), AvgDegree: tc.deg,
-					RequireConnected: true, MaxAttempts: tc.attempts,
-				}, r)
+				var err error
+				if tc.reuse {
+					_, err = topology.GenerateWith(cfg, ws, r)
+				} else {
+					_, err = topology.Generate(cfg, r)
+				}
 				if err != nil && !(tc.attempts > 0 && errors.Is(err, topology.ErrDisconnected)) {
 					b.Fatal(err)
 				}

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"clustercast/internal/core"
+	"clustercast/internal/topology"
 )
 
 func TestRunAllProtocols(t *testing.T) {
@@ -259,5 +262,23 @@ func TestRunBadSpecPrintsNothing(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("faults=%q traffic=%q: printed before failing:\n%s", cfg.faults, cfg.traffic, out.String())
 		}
+	}
+}
+
+// TestRunTinyDensityBoundedMemory: `manetsim -n 10 -d 1e-9` samples with a
+// range far below the node spacing. Sizing the sampler's cells by the
+// range alone asked for ~678 GB and died with a fatal out-of-memory; the
+// run must instead end with the generator's disconnected error after
+// allocating little.
+func TestRunTinyDensityBoundedMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := run(config{n: 10, d: 1e-9, seed: 2003, source: -1, protocols: "all"}, &bytes.Buffer{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, topology.ErrDisconnected) {
+		t.Fatalf("want the disconnected-sample error, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("allocated %d MiB, want under 64", got>>20)
 	}
 }

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"clustercast/internal/obs"
+	"clustercast/internal/topology"
 )
 
 func TestRunAllStages(t *testing.T) {
@@ -211,5 +214,23 @@ func TestMedian(t *testing.T) {
 		if got := median(tc.in); got != tc.want {
 			t.Errorf("median(%v) = %v, want %v", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestRunTinyDensityBoundedMemory: `scale -n 10 -d 1e-9 -reps 1 -stages static25` samples with a
+// range far below the node spacing. Sizing the sampler's cells by the
+// range alone asked for ~678 GB and died with a fatal out-of-memory; the
+// run must instead end with the generator's disconnected error after
+// allocating little.
+func TestRunTinyDensityBoundedMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := run(config{n: 10, d: 1e-9, seed: 2003, reps: 1, stages: "static25"}, &bytes.Buffer{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, topology.ErrDisconnected) {
+		t.Fatalf("want the disconnected-sample error, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("allocated %d MiB, want under 64", got>>20)
 	}
 }

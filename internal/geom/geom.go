@@ -97,8 +97,26 @@ type Grid struct {
 	points []Point // id -> position (ids are dense, assigned by Insert order)
 }
 
+// CellSide returns the spatial-hash cell side for n points with radio
+// range radius over bounds: the range itself, widened where the range is
+// tiny relative to the node spacing so the cell count stays O(n). Any side
+// ≥ radius keeps a 3×3 cell query exact. With the paper's degree-derived
+// ranges (d ≥ π) the side is the range. A non-positive result (degenerate
+// bounds and range) falls back to one cell over the whole rectangle.
+func CellSide(bounds Rect, n int, radius float64) float64 {
+	if n < 1 {
+		n = 1
+	}
+	side := math.Max(radius, math.Sqrt(bounds.Area()/float64(n)))
+	side = math.Max(side, math.Max(bounds.Width(), bounds.Height())/float64(n))
+	if !(side > 0) {
+		side = bounds.Width() + bounds.Height() + 1
+	}
+	return side
+}
+
 // NewGrid builds an empty grid over bounds with the given cell size. The
-// cell size should normally be the radio transmission range.
+// cell size should normally be CellSide of the radio transmission range.
 func NewGrid(bounds Rect, cellSize float64) *Grid {
 	if cellSize <= 0 {
 		panic("geom: non-positive grid cell size")
@@ -232,68 +250,6 @@ func (g *Grid) Within(id int, radius float64, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Rows returns the number of grid cell rows.
-func (g *Grid) Rows() int { return g.rows }
-
-// RowCells returns the id buckets of cell row cy, west to east. The
-// slices alias the grid's storage and must not be modified.
-func (g *Grid) RowCells(cy int) [][]int { return g.cells[cy*g.cols : (cy+1)*g.cols] }
-
-// PairsRows calls fn(u, v) exactly once for every unordered pair of
-// distinct stored points within radius of each other whose sweep origin
-// lies in cell rows [fromRow, toRow). It sweeps cell pairs over the half
-// neighborhood (E, SW, S, SE), so each candidate pair is distance-tested
-// once — half the work of querying Within for every point. Every pair is
-// reported by exactly one row, the one holding its first cell in sweep
-// order, so PairsRows over a partition of [0, Rows()) reports every pair
-// of the grid once, which lets the unit-disk construction sweep one row
-// at a time and stop early. Like Within, radius must not exceed the grid
-// cell size.
-func (g *Grid) PairsRows(radius float64, fromRow, toRow int, fn func(u, v int)) {
-	if radius > g.cell+1e-9 {
-		panic("geom: query radius exceeds grid cell size")
-	}
-	if fromRow < 0 {
-		fromRow = 0
-	}
-	if toRow > g.rows {
-		toRow = g.rows
-	}
-	r2 := radius * radius
-	half := [4][2]int{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
-	for cy := fromRow; cy < toRow; cy++ {
-		for cx := 0; cx < g.cols; cx++ {
-			a := g.cells[cy*g.cols+cx]
-			if len(a) == 0 {
-				continue
-			}
-			for i := 0; i < len(a); i++ {
-				pi := g.points[a[i]]
-				for j := i + 1; j < len(a); j++ {
-					if pi.Dist2(g.points[a[j]]) <= r2 {
-						fn(a[i], a[j])
-					}
-				}
-			}
-			for _, d := range half {
-				x, y := cx+d[0], cy+d[1]
-				if x < 0 || x >= g.cols || y >= g.rows {
-					continue
-				}
-				b := g.cells[y*g.cols+x]
-				for _, u := range a {
-					pu := g.points[u]
-					for _, v := range b {
-						if pu.Dist2(g.points[v]) <= r2 {
-							fn(u, v)
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // Move updates the position of id, rebucketing it if it crossed a cell

@@ -280,3 +280,35 @@ func TestGridClampsOutOfBoundsPoints(t *testing.T) {
 		t.Fatalf("clamped outside point not found from origin cell: %v", found)
 	}
 }
+
+func TestCellSide(t *testing.T) {
+	sq := Square(100)
+	// Degree-derived ranges at d ≥ π are at least the node spacing: the
+	// side is the range itself.
+	for _, n := range []int{2, 80, 100000} {
+		for _, d := range []float64{math.Pi, 4, 18} {
+			r := RangeForDegree(n, sq.Area(), d)
+			if got := CellSide(sq, n, r); got != r {
+				t.Fatalf("n=%d d=%g: side %g, want the range %g", n, d, got, r)
+			}
+		}
+	}
+	// A tiny range is widened so the cell count stays O(n), whatever the
+	// aspect ratio.
+	for _, b := range []Rect{sq, {0, 0, 1e9, 1e-9}, {0, 0, 0, 5}} {
+		for _, n := range []int{0, 1, 10, 1000} {
+			side := CellSide(b, n, 1e-12)
+			if !(side >= 1e-12) {
+				t.Fatalf("%v n=%d: side %g below the range", b, n, side)
+			}
+			cells := (math.Ceil(b.Width()/side) + 1) * (math.Ceil(b.Height()/side) + 1)
+			if cells > float64(5*max(n, 1)+4) {
+				t.Fatalf("%v n=%d: side %g gives %g cells", b, n, side, cells)
+			}
+		}
+	}
+	// Degenerate bounds and range fall back to one positive cell.
+	if got := CellSide(Rect{}, 5, 0); got != 1 {
+		t.Fatalf("degenerate side %g, want 1", got)
+	}
+}

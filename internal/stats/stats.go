@@ -189,18 +189,45 @@ func tCDF(t float64, df int) float64 {
 	return p
 }
 
+// tQuantiles memoizes TQuantile per (p, df): the stopping rule asks for
+// the same quantile at every replicate of every point, and each one costs
+// a bisection of up to 200 continued-fraction CDF evaluations. The
+// quantile is a pure function of its key, so a memoized value is
+// bit-identical to a recomputed one.
+var tQuantiles sync.Map // tqKey -> float64
+
+type tqKey struct {
+	p  float64
+	df int
+}
+
 // TQuantile returns the p-quantile (0 < p < 1) of Student's t distribution
 // with df degrees of freedom, by bisection on the CDF. Accuracy ~1e-10,
-// plenty for confidence intervals.
+// plenty for confidence intervals. Results are memoized; it is safe for
+// concurrent use.
 func TQuantile(p float64, df int) float64 {
 	if p <= 0 || p >= 1 {
 		panic("stats: quantile probability out of (0,1)")
 	}
+	if p != p {
+		return tQuantile(p, df) // NaN never matches itself as a key
+	}
+	key := tqKey{p, df}
+	if q, ok := tQuantiles.Load(key); ok {
+		return q.(float64)
+	}
+	q := tQuantile(p, df)
+	tQuantiles.Store(key, q)
+	return q
+}
+
+// tQuantile is TQuantile without the memo.
+func tQuantile(p float64, df int) float64 {
 	if p == 0.5 {
 		return 0
 	}
 	if p < 0.5 {
-		return -TQuantile(1-p, df)
+		return -tQuantile(1-p, df)
 	}
 	lo, hi := 0.0, 2.0
 	for tCDF(hi, df) < p {

@@ -292,6 +292,49 @@ func BenchmarkTQuantile(b *testing.B) {
 	}
 }
 
+// TestTQuantileMemoBitIdentical: the memoized quantile equals the
+// recomputed one bit for bit, on the first call and from the memo, with
+// goroutines racing on the same keys.
+func TestTQuantileMemoBitIdentical(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for _, p := range []float64{0.005, 0.3, 0.5, 0.95, 0.975, 0.995} {
+					for df := 1; df <= 120; df += 7 {
+						got, want := TQuantile(p, df), tQuantile(p, df)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("TQuantile(%g, %d) = %v, recomputed %v", p, df, got, want)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkStopRuleDone is the paper rule's per-replicate check on
+// summaries of 30..129 observations, the degrees of freedom a figure
+// suite revisits at every point.
+func BenchmarkStopRuleDone(b *testing.B) {
+	r := rng.New(3)
+	sums := make([]Summary, 100)
+	for i := range sums {
+		for j := 0; j < 30+i; j++ {
+			sums[i].Add(5 + r.NormFloat64())
+		}
+	}
+	rule := PaperRule()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = rule.Done(&sums[i%len(sums)])
+	}
+}
+
 func TestReplicateDeterministicAcrossRuns(t *testing.T) {
 	run := func() (float64, int) {
 		r := rng.New(99)

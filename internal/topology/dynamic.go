@@ -51,7 +51,7 @@ func NewDynamic(nw *Network) *Dynamic {
 		movedMark: make([]uint32, n),
 		affMark:   make([]uint32, n),
 	}
-	d.grid.Reset(nw.Bounds, nw.Radius)
+	d.grid.Reset(nw.Bounds, geom.CellSide(nw.Bounds, n, nw.Radius))
 	for _, p := range d.positions {
 		d.grid.Insert(p)
 	}

@@ -138,3 +138,21 @@ func TestGenerateWithMatchesGenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestDynamicTinyRadius: a range far below the node spacing used to size
+// the updater's grid as (side/r)² cells, ~10¹⁶ here; the grid now has
+// O(n) cells and the updater still tracks the brute-force graph.
+func TestDynamicTinyRadius(t *testing.T) {
+	r := rng.New(4)
+	bounds := geom.Square(100)
+	const radius = 1e-6
+	pos := make([]geom.Point, 10)
+	for i := range pos {
+		pos[i] = geom.Point{X: r.Range(0, 100), Y: r.Range(0, 100)}
+	}
+	pos[1] = geom.Point{X: pos[0].X + radius/2, Y: pos[0].Y}
+	d := NewDynamic(FromPositions(pos, bounds, radius))
+	graphsEqual(t, 0, d.Network().G, bruteForceUDG(pos, radius))
+	pos[2] = geom.Point{X: pos[0].X, Y: pos[0].Y + radius/2}
+	graphsEqual(t, 1, d.Step(pos).G, bruteForceUDG(pos, radius))
+}

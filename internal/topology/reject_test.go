@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"clustercast/internal/geom"
+	"clustercast/internal/graph"
 	"clustercast/internal/rng"
 )
 
-// generateOracle is the rejection loop GenerateWith replaced: every
-// attempt places its nodes, assembles the full unit disk graph and runs
-// the BFS connectivity check, with no early rejection.
+// generateOracle is the rejection loop GenerateWith must reproduce, built
+// from nothing the sampler uses: every attempt places its nodes, builds
+// the O(n²) brute-force unit disk graph and accepts it iff a BFS from
+// node 0 reaches every node.
 func generateOracle(c Config, r *rng.Stream) (*Network, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -29,12 +31,23 @@ func generateOracle(c Config, r *rng.Stream) (*Network, error) {
 				Y: r.Range(c.Bounds.MinY, c.Bounds.MaxY),
 			}
 		}
-		g := buildUnitDiskGraph(positions, c.Bounds, radius)
-		if !c.RequireConnected || g.Connected() {
+		g := bruteForceUDG(positions, radius)
+		if !c.RequireConnected || bfsConnected(g) {
 			return &Network{Positions: positions, Radius: radius, Bounds: c.Bounds, G: g}, nil
 		}
 	}
 	return nil, disconnectedError(c, radius, attempts)
+}
+
+// bfsConnected reports whether a BFS from node 0 reaches every node.
+func bfsConnected(g *graph.Graph) bool {
+	reached := 0
+	for _, d := range g.BFS(0) {
+		if d >= 0 {
+			reached++
+		}
+	}
+	return reached == g.N()
 }
 
 // checkGenerateAgainstOracle runs GenerateWith and the oracle on equal
@@ -130,11 +143,11 @@ func TestGenerateRejectStormShape(t *testing.T) {
 	}
 }
 
-// TestBuildRejectIsolatedClamped drives the row-ordered sweep directly
-// with positions on the far boundary and outside the grid bounds, which
-// the grid clamps into its edge cells: the reject build returns nil
-// exactly when the full graph has an isolated node, and the full graph
-// otherwise.
+// TestBuildRejectIsolatedClamped drives build directly with positions on
+// the far boundary and outside the bounds, which the layout clamps into
+// its edge cells: the connected build returns nil exactly when the
+// brute-force graph is disconnected and that graph otherwise, and the
+// plain build always returns it.
 func TestBuildRejectIsolatedClamped(t *testing.T) {
 	r := rng.New(5)
 	bounds := geom.Square(50)
@@ -154,30 +167,71 @@ func TestBuildRejectIsolatedClamped(t *testing.T) {
 				positions[i] = geom.Point{X: bounds.MaxX + r.Range(0, 2), Y: bounds.MinY - r.Range(0, 2)}
 			}
 		}
-		full := buildUnitDiskGraph(positions, bounds, radius)
-		isolated := false
-		for v := 0; v < n; v++ {
-			isolated = isolated || full.Degree(v) == 0
-		}
-		got := ws.build(positions, bounds, radius, true)
-		if (got == nil) != isolated {
-			t.Fatalf("trial %d (n=%d r=%.2f): rejected=%v, isolated node=%v", trial, n, radius, got == nil, isolated)
-		}
-		if got == nil {
-			continue
-		}
-		if got.M() != full.M() {
-			t.Fatalf("trial %d: %d edges, full build %d", trial, got.M(), full.M())
-		}
-		for v := 0; v < n; v++ {
-			if !slices.Equal(got.Neighbors(v), full.Neighbors(v)) {
-				t.Fatalf("trial %d: neighbors of %d = %v, full build %v", trial, v, got.Neighbors(v), full.Neighbors(v))
-			}
+		checkBuildAgainstBruteForce(t, ws, positions, bounds, radius, true)
+		checkBuildAgainstBruteForce(t, ws, positions, bounds, radius, false)
+	}
+}
+
+// checkBuildAgainstBruteForce requires build to return the brute-force
+// unit disk graph, or nil exactly when connected is set, there are at
+// least two nodes and that graph is disconnected.
+func checkBuildAgainstBruteForce(t *testing.T, ws *Workspace, positions []geom.Point, bounds geom.Rect, radius float64, connected bool) {
+	t.Helper()
+	n := len(positions)
+	want := bruteForceUDG(positions, radius)
+	reject := connected && n >= 2 && !bfsConnected(want)
+	got := ws.build(positions, bounds, radius, connected)
+	if (got == nil) != reject {
+		t.Fatalf("n=%d r=%g connected=%v: rejected=%v, brute force disconnected=%v", n, radius, connected, got == nil, reject)
+	}
+	if got == nil {
+		return
+	}
+	if got.N() != n || got.M() != want.M() {
+		t.Fatalf("n=%d r=%g: graph %d/%d, brute force %d/%d", n, radius, got.N(), got.M(), n, want.M())
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			t.Fatalf("n=%d r=%g: neighbors of %d = %v, brute force %v", n, radius, v, got.Neighbors(v), want.Neighbors(v))
 		}
 	}
 }
 
-// FuzzGenerateRejectAgree: GenerateWith against the full-build oracle
+// FuzzBuildAgree: build against the brute-force unit disk graph over
+// random bounds, positions inside, on and outside the bounds, any radius
+// (negative, zero, huge, NaN) and both modes.
+func FuzzBuildAgree(f *testing.F) {
+	f.Add(uint64(1), uint(80), 12.7, true)
+	f.Add(uint64(2), uint(2), 0.0, true)
+	f.Add(uint64(3), uint(40), -1.0, false)
+	f.Add(uint64(4), uint(60), 1e-9, true)
+	f.Add(uint64(5), uint(30), 1e300, true)
+	f.Add(uint64(6), uint(1), 5.0, true)
+	ws := NewWorkspace()
+	f.Fuzz(func(t *testing.T, seed uint64, n uint, radius float64, connected bool) {
+		r := rng.New(seed)
+		bounds := geom.Rect{MinX: r.Range(-50, 50), MinY: r.Range(-50, 50)}
+		bounds.MaxX = bounds.MinX + r.Range(0, 100)
+		bounds.MaxY = bounds.MinY + r.Range(0, 100)
+		positions := make([]geom.Point, n%200)
+		for i := range positions {
+			p := geom.Point{X: r.Range(bounds.MinX, bounds.MaxX), Y: r.Range(bounds.MinY, bounds.MaxY)}
+			switch r.Intn(5) {
+			case 0:
+				p.X = bounds.MaxX
+			case 1:
+				p.Y = bounds.MinY
+			case 2:
+				p.X += r.Range(-30, 30)
+				p.Y += r.Range(-30, 30)
+			}
+			positions[i] = p
+		}
+		checkBuildAgainstBruteForce(t, ws, positions, bounds, radius, connected)
+	})
+}
+
+// FuzzGenerateRejectAgree: GenerateWith against the brute-force oracle
 // over (n, degree, budget, seed, connectivity requirement).
 func FuzzGenerateRejectAgree(f *testing.F) {
 	f.Add(uint(80), uint(4), uint(50), uint64(2003), true)

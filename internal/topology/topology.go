@@ -77,24 +77,23 @@ func Generate(c Config, r *rng.Stream) (*Network, error) {
 	return GenerateWith(c, NewWorkspace(), r)
 }
 
-// buildUnitDiskGraph builds the unit disk graph over the positions with a
-// spatial hash grid: each node's full neighbor list comes straight from one
-// range query into a shared flat buffer, which then becomes the backing
-// array of the adjacency lists (one sort per list) — O(n·deg) time and a
-// constant number of allocations. The throwaway workspace keeps the result
-// independently allocated (see Workspace.build for the implementation).
+// buildUnitDiskGraph builds the unit disk graph over the positions with
+// the sampler's cell-sorted sweep — O(n·deg) time and a constant number of
+// allocations. The throwaway workspace keeps the result independently
+// allocated (see Workspace.build for the implementation).
 func buildUnitDiskGraph(positions []geom.Point, bounds geom.Rect, radius float64) *graph.Graph {
 	return (&Workspace{}).build(positions, bounds, radius, false)
 }
 
 // FromPositions builds the unit disk graph induced by explicit positions
 // and range. Used by mobility models and hand-crafted scenarios; it runs
-// through the same spatial-grid path as random placement, so stepping a
+// through the same cell-sorted build as random placement, so stepping a
 // mobility model costs O(n·deg) per step instead of O(n²).
 func FromPositions(positions []geom.Point, bounds geom.Rect, radius float64) *Network {
 	// Positions outside the nominal bounds (hand-crafted scenarios) would
-	// defeat the grid's cell clamping; grow the indexing rectangle to cover
-	// them. The Network keeps the caller's bounds.
+	// all be clamped into the edge cells; grow the indexing rectangle to
+	// cover them so they spread over cells of their own. The Network keeps
+	// the caller's bounds.
 	gridBounds := bounds
 	for _, p := range positions {
 		if p.X < gridBounds.MinX {

@@ -352,18 +352,21 @@ func BenchmarkGenerate100(b *testing.B) {
 	}
 }
 
-// bruteForceUDG is the quadratic reference construction FromPositions used
-// before the spatial-grid path.
+// bruteForceUDG is the quadratic reference unit disk graph: every pair is
+// tested with the sampler's own predicate, dx*dx+dy*dy <= radius*radius,
+// and a negative radius has no edges.
 func bruteForceUDG(positions []geom.Point, radius float64) *graph.Graph {
-	g := graph.New(len(positions))
-	for u := 0; u < len(positions); u++ {
+	adj := make([][]int, len(positions))
+	for u := 0; u < len(positions) && radius >= 0; u++ {
 		for v := u + 1; v < len(positions); v++ {
-			if positions[u].Dist(positions[v]) <= radius {
-				g.AddEdge(u, v)
+			dx, dy := positions[u].X-positions[v].X, positions[u].Y-positions[v].Y
+			if dx*dx+dy*dy <= radius*radius {
+				adj[u] = append(adj[u], v)
+				adj[v] = append(adj[v], u)
 			}
 		}
 	}
-	return g
+	return graph.FromAdjacency(len(positions), adj)
 }
 
 // TestFromPositionsMatchesBruteForce pins the grid-built unit disk graph to
