@@ -3,7 +3,7 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-des figures trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-des figures trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke bytes-check
 
 all: vet test
 
@@ -120,6 +120,19 @@ workload-smoke:
 		-traffic proc=poisson,rate=0.3,flows=24
 	$(GO) run ./cmd/figures -fig traffic,discovery -quick -seed 7 -workers 4 -out artifacts/workload -format csv > /dev/null
 	cksum artifacts/workload/*.csv
+
+# Byte-contract gate: the figure CSVs must equal their recorded checksums
+# — every figure under the quick rule at seed 7, at one and at four
+# workers (the bytes must not depend on parallelism), and the
+# multi-source MAC figures under the paper's rule at the default seed.
+# Fails on the first mismatch.
+bytes-check:
+	@check() { want="$$1"; shift; got=$$($(GO) run ./cmd/figures "$$@" -format csv | cksum); \
+		if [ "$$got" != "$$want" ]; then echo "bytes-check: $$*: cksum $$got, want $$want" >&2; exit 1; fi; \
+		echo "bytes-check: $$*: $$got"; }; \
+	check "3277588055 18567" -fig all -quick -seed 7 -workers 1 && \
+	check "3277588055 18567" -fig all -quick -seed 7 -workers 4 && \
+	check "3434902229 2066" -fig traffic,discovery
 
 # Fault-injection smoke: a churn-and-repair manetsim run plus the two
 # failure-sweep figures under the quick replication rule. The CSV checksums

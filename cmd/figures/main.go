@@ -234,6 +234,11 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 	return nil
 }
 
+// maxWorkers bounds -workers: a sweep point runs up to that many
+// speculative replicates per batch, each on its own pooled workspace, so
+// an unbounded count is unbounded memory and discarded work.
+const maxWorkers = 256
+
 // validate rejects flag values that cannot run, before any figure is
 // computed or any file is written.
 func (cfg config) validate() error {
@@ -242,8 +247,8 @@ func (cfg config) validate() error {
 	default:
 		return fmt.Errorf("unknown format %q (have csv, md, chart, json)", cfg.format)
 	}
-	if cfg.workers < 0 {
-		return fmt.Errorf("-workers %d: must be >= 0 (0: GOMAXPROCS)", cfg.workers)
+	if cfg.workers < 0 || cfg.workers > maxWorkers {
+		return fmt.Errorf("-workers %d: must be in [0, %d] (0: GOMAXPROCS)", cfg.workers, maxWorkers)
 	}
 	return nil
 }
@@ -252,7 +257,12 @@ func (cfg config) validate() error {
 // measurement as "n/a" / an empty CSV cell; without this, the topology
 // generator's descriptive error (attempt cap exhausted, and why) never
 // reached the user.
+//
+// It drains the recorded sampling failure after every figure, so a
+// failure that an earlier figure's replication loop compensated (e.g.
+// storm's sparse draws) is never reported as a later figure's cause.
 func warnMissing(stderr io.Writer, f *experiment.Figure) {
+	sampleErr := experiment.TakeSampleError()
 	missing := 0
 	for _, s := range f.Series {
 		for _, p := range s.Points {
@@ -265,8 +275,8 @@ func warnMissing(stderr io.Writer, f *experiment.Figure) {
 		return
 	}
 	fmt.Fprintf(stderr, "figures: warning: %s has %d missing point(s)\n", f.ID, missing)
-	if err := experiment.TakeSampleError(); err != nil {
-		fmt.Fprintf(stderr, "figures: warning: first sampling failure: %v\n", err)
+	if sampleErr != nil {
+		fmt.Fprintf(stderr, "figures: warning: first sampling failure: %v\n", sampleErr)
 	}
 }
 
@@ -280,7 +290,7 @@ func main() {
 	flag.IntVar(&cfg.maxN, "maxn", 100, "largest network size in the sweep")
 	flag.StringVar(&cfg.outDir, "out", "", "also write each figure as <dir>/<id>.csv")
 	flag.IntVar(&cfg.workers, "workers", 0,
-		"replication worker count (0: GOMAXPROCS); results are bit-identical for any value")
+		"replication worker count (0: GOMAXPROCS, at most 256); results are bit-identical for any value")
 	flag.BoolVar(&cfg.batch, "batch", false,
 		"advance 64 replicates per machine word where the protocol and fault model allow it "+
 			"(loss/gossip sweeps); a different Monte-Carlo sample than the scalar default, "+

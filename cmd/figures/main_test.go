@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"clustercast/internal/experiment"
 	"clustercast/internal/obs"
 	"clustercast/internal/stats"
 )
@@ -68,8 +69,10 @@ func TestRunUnknownFormat(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlagsBeforeWork: a bad -format or a negative -workers
-// fails before any figure is computed or any CSV is written.
+// TestRunRejectsBadFlagsBeforeWork: a bad -format or a -workers outside
+// [0, maxWorkers] fails before any figure is computed or any CSV is
+// written. validate is checked first, so a bound that stopped rejecting
+// fails the test instead of running figures at that worker count.
 func TestRunRejectsBadFlagsBeforeWork(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -78,12 +81,16 @@ func TestRunRejectsBadFlagsBeforeWork(t *testing.T) {
 	}{
 		{"format", func(c *config) { c.format = "xml" }, "unknown format"},
 		{"workers", func(c *config) { c.workers = -1 }, "-workers -1"},
+		{"workers-above-bound", func(c *config) { c.workers = maxWorkers + 1 }, "-workers 257: must be in [0, 256]"},
 	} {
 		dir := filepath.Join(t.TempDir(), "out")
 		cfg := quickCfg()
 		cfg.fig = "6b,storm"
 		cfg.outDir = dir
 		tc.mod(&cfg)
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: validate: want error containing %q, got %v", tc.name, tc.want, err)
+		}
 		var out bytes.Buffer
 		err := run(cfg, &out, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -188,5 +195,45 @@ func TestRunnersCoverOrder(t *testing.T) {
 	}
 	if len(all) != len(figureOrder) {
 		t.Fatalf("%d runners vs %d ordered names — keep them in sync", len(all), len(figureOrder))
+	}
+}
+
+// TestWarnMissingDrainsStaleSampleError: two figures in sequence, the
+// first with a sampling failure its replication loop compensated (no
+// missing point), the second with a missing point and no failure of its
+// own. The first figure's failure must not be reported as the second's
+// cause; a figure's own failure still is.
+func TestWarnMissingDrainsStaleSampleError(t *testing.T) {
+	experiment.TakeSampleError() // start from a clean record
+	sparse := experiment.DefaultScenario(40, 0.5, 1)
+	fail := func(label string) {
+		if _, _, ok := sparse.Sample(label, 0); ok {
+			t.Fatalf("%s: a d=0.5 scenario sampled a connected topology", label)
+		}
+	}
+	full := &experiment.Figure{ID: "first", Series: []experiment.Series{
+		{Name: "s", Points: []experiment.Point{{X: 1, Mean: 2, Reps: 10}}},
+	}}
+	gappy := &experiment.Figure{ID: "second", Series: []experiment.Series{
+		{Name: "s", Points: []experiment.Point{{X: 1, Mean: 2, Reps: 10}, {X: 2}}},
+	}}
+
+	var stderr bytes.Buffer
+	fail("stale")
+	warnMissing(&stderr, full)
+	if stderr.Len() != 0 {
+		t.Fatalf("complete figure produced warnings:\n%s", stderr.String())
+	}
+	warnMissing(&stderr, gappy)
+	if got := stderr.String(); !strings.Contains(got, "second has 1 missing point") ||
+		strings.Contains(got, "sampling failure") {
+		t.Fatalf("second figure's warnings:\n%s\nwant its missing point and no sampling failure", got)
+	}
+
+	stderr.Reset()
+	fail("own")
+	warnMissing(&stderr, gappy)
+	if got := stderr.String(); !strings.Contains(got, "first sampling failure: sample own rep 0") {
+		t.Fatalf("figure's own sampling failure not reported:\n%s", got)
 	}
 }

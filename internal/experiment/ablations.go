@@ -21,41 +21,37 @@ import (
 // measures |CDS| / |MCDS| for the static backbone, the dynamic backbone's
 // forwarder set, and the MO_CDS, sweeping the network size (ABL-RATIO).
 func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	ratio := func(build func(*topology.Network, *cluster.Clustering, *rngSplit) int) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, r, ok := clusteredSample(sc, "ratio", rep)
-			if !ok {
-				return 0, false
-			}
-			opt := mcds.Exact(nw.G)
-			if opt == nil || len(opt) == 0 {
-				return 0, false
-			}
-			return float64(build(nw, cl, r)) / float64(len(opt)), true
-		}
+	builds := []func(nw *topology.Network, cl *cluster.Clustering, src int) int{
+		func(nw *topology.Network, cl *cluster.Clustering, _ int) int {
+			return backbone.BuildStatic(nw.G, cl, coverage.Hop25).Size()
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, src int) int {
+			return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src).ForwardCount()
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, _ int) int {
+			return mocds.Build(nw.G, cl).Size()
+		},
+		func(nw *topology.Network, _ *cluster.Clustering, _ int) int {
+			return len(mcds.Greedy(nw.G))
+		},
 	}
 	return &Figure{
 		ID:     "ratio",
 		Title:  fmt.Sprintf("Empirical approximation ratio to the MCDS (d=%g)", d),
 		XLabel: "n", YLabel: "|CDS| / |MCDS|",
-		Series: []Series{
-			sweep("static-2.5hop", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, cl *cluster.Clustering, _ *rngSplit) int {
-					return backbone.BuildStatic(nw.G, cl, coverage.Hop25).Size()
-				})),
-			sweep("dynamic-2.5hop", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, cl *cluster.Clustering, r *rngSplit) int {
-					return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(r.source(nw.N())).ForwardCount()
-				})),
-			sweep("mo-cds", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, cl *cluster.Clustering, _ *rngSplit) int {
-					return mocds.Build(nw.G, cl).Size()
-				})),
-			sweep("greedy-gk", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, _ *cluster.Clustering, _ *rngSplit) int {
-					return len(mcds.Greedy(nw.G))
-				})),
-		},
+		Series: sweepSeries([]string{"static-2.5hop", "dynamic-2.5hop", "mo-cds", "greedy-gk"}, sizes(ns), rule,
+			atSize("ratio", ns, d, seed, func(sh *shared) {
+				opt := mcds.Exact(sh.nw.G) // one exact MCDS per replicate, shared by every series
+				if len(opt) == 0 {
+					return
+				}
+				src := sh.r.Intn(sh.nw.N())
+				for j, build := range builds {
+					if sh.live[j] {
+						sh.xs[j], sh.oks[j] = float64(build(sh.nw, sh.cl, src))/float64(len(opt)), true
+					}
+				}
+			})),
 	}
 }
 
@@ -63,63 +59,30 @@ func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure 
 // construction messages of the distributed protocol versus network size
 // (ABL-MSG). Linearity shows as a flat messages-per-node curve.
 func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	total := func(sc Scenario, rep int) (float64, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
-		if !ok {
-			return 0, false
-		}
-		return float64(sim.Run(nw.G, coverage.Hop25).Counters.Total()), true
-	}
-	perNode := func(sc Scenario, rep int) (float64, bool) {
-		v, ok := total(sc, rep)
-		if !ok {
-			return 0, false
-		}
-		return v / float64(sc.N), true
-	}
-	rounds := func(sc Scenario, rep int) (float64, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
-		if !ok {
-			return 0, false
-		}
-		return float64(sim.Run(nw.G, coverage.Hop25).Counters.Rounds), true
-	}
-	meanActive := func(sc Scenario, rep int) (float64, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
-		if !ok {
-			return 0, false
-		}
-		return sim.Run(nw.G, coverage.Hop25).Counters.MeanActive(), true
-	}
-	// idleFraction is the share of per-round node scans a round-synchronous
-	// simulator wastes on silent nodes (1 − active/n, averaged over rounds):
-	// the measured quantity behind the event-driven core's savings.
-	idleFraction := func(sc Scenario, rep int) (float64, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
-		if !ok {
-			return 0, false
-		}
-		c := sim.Run(nw.G, coverage.Hop25).Counters
-		if len(c.ActivePerRound) == 0 {
-			return 0, false
-		}
-		idle := 0.0
-		for _, a := range c.ActivePerRound {
-			idle += 1 - float64(a)/float64(sc.N)
-		}
-		return idle / float64(len(c.ActivePerRound)), true
-	}
+	names := []string{"total-messages", "messages-per-node", "rounds", "mean-active-per-round", "idle-fraction"}
 	return &Figure{
 		ID:     "msg",
 		Title:  fmt.Sprintf("Distributed construction cost (d=%g)", d),
 		XLabel: "n", YLabel: "messages",
-		Series: []Series{
-			sweep("total-messages", ns, d, seed, rule, total),
-			sweep("messages-per-node", ns, d, seed, rule, perNode),
-			sweep("rounds", ns, d, seed, rule, rounds),
-			sweep("mean-active-per-round", ns, d, seed, rule, meanActive),
-			sweep("idle-fraction", ns, d, seed, rule, idleFraction),
-		},
+		Series: sweepSeries(names, sizes(ns), rule, atSize("msg", ns, d, seed, func(sh *shared) {
+			c := sim.Run(sh.nw.G, coverage.Hop25).Counters
+			n := float64(sh.nw.N())
+			sh.xs[0], sh.oks[0] = float64(c.Total()), true
+			sh.xs[1], sh.oks[1] = float64(c.Total())/n, true
+			sh.xs[2], sh.oks[2] = float64(c.Rounds), true
+			sh.xs[3], sh.oks[3] = c.MeanActive(), true
+			// The idle fraction is the share of per-round node scans a
+			// round-synchronous simulator wastes on silent nodes (1 −
+			// active/n, averaged over rounds): the measured quantity
+			// behind the event-driven core's savings.
+			if len(c.ActivePerRound) > 0 {
+				idle := 0.0
+				for _, a := range c.ActivePerRound {
+					idle += 1 - float64(a)/n
+				}
+				sh.xs[4], sh.oks[4] = idle/float64(len(c.ActivePerRound)), true
+			}
+		})),
 	}
 }
 
@@ -127,61 +90,54 @@ func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *F
 // related-work protocols of §2: blind flooding, MPR, dominant pruning and
 // partial dominant pruning (ABL-BASELINES).
 func Baselines(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	run := func(build func(nw *topology.Network) broadcast.Protocol) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, r, ok := sc.Sample("baselines", rep)
-			if !ok {
-				return 0, false
-			}
-			res := broadcast.Run(nw.G, r.Intn(nw.N()), build(nw))
-			return float64(res.ForwardCount()), true
-		}
+	protos := []func(nw *topology.Network, cl *cluster.Clustering) broadcast.Protocol{
+		func(*topology.Network, *cluster.Clustering) broadcast.Protocol { return broadcast.Flooding{} },
+		func(nw *topology.Network, _ *cluster.Clustering) broadcast.Protocol {
+			return broadcast.NewMPR(broadcast.NewNeighborhood(nw.G))
+		},
+		func(nw *topology.Network, _ *cluster.Clustering) broadcast.Protocol {
+			return broadcast.NewDP(broadcast.NewNeighborhood(nw.G))
+		},
+		func(nw *topology.Network, _ *cluster.Clustering) broadcast.Protocol {
+			return broadcast.NewPDP(broadcast.NewNeighborhood(nw.G))
+		},
+		func(nw *topology.Network, cl *cluster.Clustering) broadcast.Protocol {
+			return dynamicb.New(nw.G, cl, coverage.Hop25)
+		},
 	}
 	return &Figure{
 		ID:     "baselines",
 		Title:  fmt.Sprintf("Forward nodes across broadcast protocols (d=%g)", d),
 		XLabel: "n", YLabel: "forward nodes",
-		Series: []Series{
-			sweep("flooding", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.Flooding{}
+		Series: sweepSeries([]string{"flooding", "mpr", "dp", "pdp", "dynamic-2.5hop"}, sizes(ns), rule,
+			atSize("baselines", ns, d, seed, func(sh *shared) {
+				src := sh.r.Intn(sh.nw.N())
+				for j, proto := range protos {
+					if sh.live[j] {
+						sh.xs[j], sh.oks[j] = float64(broadcast.Run(sh.nw.G, src, proto(sh.nw, sh.cl)).ForwardCount()), true
+					}
+				}
 			})),
-			sweep("mpr", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.NewMPR(broadcast.NewNeighborhood(nw.G))
-			})),
-			sweep("dp", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.NewDP(broadcast.NewNeighborhood(nw.G))
-			})),
-			sweep("pdp", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.NewPDP(broadcast.NewNeighborhood(nw.G))
-			})),
-			sweep("dynamic-2.5hop", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return dynamicb.New(nw.G, cluster.LowestID(nw.G), coverage.Hop25)
-			})),
-		},
 	}
 }
 
 // TieBreak measures the effect of the paper's indirect-coverage
 // tie-breaking rule on the static backbone size (ABL-TIE).
 func TieBreak(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	size := func(opts backbone.Options) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, _, ok := clusteredSample(sc, "tiebreak", rep)
-			if !ok {
-				return 0, false
-			}
-			b := coverage.NewBuilder(nw.G, cl, coverage.Hop25)
-			return float64(backbone.BuildStaticOpt(b, cl, opts).Size()), true
-		}
-	}
+	opts := []backbone.Options{{}, {NoIndirectTieBreak: true}}
 	return &Figure{
 		ID:     "tiebreak",
 		Title:  fmt.Sprintf("Static backbone size with/without the indirect tie-break (d=%g)", d),
 		XLabel: "n", YLabel: "CDS size",
-		Series: []Series{
-			sweep("with-tiebreak", ns, d, seed, rule, size(backbone.Options{})),
-			sweep("without-tiebreak", ns, d, seed, rule, size(backbone.Options{NoIndirectTieBreak: true})),
-		},
+		Series: sweepSeries([]string{"with-tiebreak", "without-tiebreak"}, sizes(ns), rule,
+			atSize("tiebreak", ns, d, seed, func(sh *shared) {
+				for j, o := range opts {
+					if sh.live[j] {
+						b := coverage.NewBuilder(sh.nw.G, sh.cl, coverage.Hop25)
+						sh.xs[j], sh.oks[j] = float64(backbone.BuildStaticOpt(b, sh.cl, o).Size()), true
+					}
+				}
+			})),
 	}
 }
 

@@ -271,56 +271,32 @@ func PassiveConvergence(floods int, n int, d float64, seed uint64, rule stats.St
 // against the (non-guaranteed) delivery ratio flooding achieves at the
 // same loss rate. ABL-RELIABLE. The sweep is over the loss probability.
 func Reliable(losses []float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	mk := func(name string, measure func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool)) Series {
-		s := Series{Name: name, Points: make([]Point, len(losses))}
-		ForEachPoint(len(losses), func(i int) {
-			loss := losses[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("reliable-%g", loss), rep)
-				if !ok {
-					return 0, false
-				}
-				src := r.source(nw.N())
-				b := coverage.NewBuilder(nw.G, cl, coverage.Hop25)
-				tree, err := fwdtree.Build(b, cl, src)
-				if err != nil {
-					return 0, false
-				}
-				return measure(nw, tree, src, loss, sc.Seed^uint64(rep))
-			})
-			if err != nil {
-				s.Points[i] = Point{X: loss}
-				return
-			}
-			s.Points[i] = Point{X: loss, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
-	}
 	return &Figure{
 		ID:     "reliable",
 		Title:  fmt.Sprintf("Reliable tree broadcast cost under loss (n=%d, d=%g)", n, d),
 		XLabel: "loss probability", YLabel: "messages per broadcast",
-		Series: []Series{
-			mk("tree-data-transmissions", func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool) {
-				res, err := reliable.Run(nw.G, tree, src, reliable.Config{Loss: loss, Seed: rep})
-				if err != nil || !res.Delivered {
-					return 0, false
+		Series: sweepSeries([]string{"tree-data-transmissions", "tree-acks", "flooding-delivery-pct"}, losses, rule,
+			func(i int) (Scenario, string, seriesDraw) {
+				loss := losses[i]
+				return DefaultScenario(n, d, seed), fmt.Sprintf("reliable-%g", loss), func(sh *shared) {
+					src := sh.r.Intn(sh.nw.N())
+					tree, err := fwdtree.Build(coverage.NewBuilder(sh.nw.G, sh.cl, coverage.Hop25), sh.cl, src)
+					if err != nil {
+						return
+					}
+					repSeed := seed ^ uint64(sh.rep)
+					if sh.live[0] || sh.live[1] {
+						res, err := reliable.Run(sh.nw.G, tree, src, reliable.Config{Loss: loss, Seed: repSeed})
+						if err == nil && res.Delivered {
+							sh.xs[0], sh.oks[0] = float64(res.Transmissions), true
+							sh.xs[1], sh.oks[1] = float64(res.Acks), true
+						}
+					}
+					if sh.live[2] {
+						res := broadcast.RunOpts(sh.nw.G, src, broadcast.Flooding{}, broadcast.Options{Loss: loss, Seed: repSeed})
+						sh.xs[2], sh.oks[2] = 100*res.DeliveryRatio(sh.nw.N()), true
+					}
 				}
-				return float64(res.Transmissions), true
 			}),
-			mk("tree-acks", func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool) {
-				res, err := reliable.Run(nw.G, tree, src, reliable.Config{Loss: loss, Seed: rep})
-				if err != nil || !res.Delivered {
-					return 0, false
-				}
-				return float64(res.Acks), true
-			}),
-			mk("flooding-delivery-pct", func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool) {
-				res := broadcast.RunOpts(nw.G, src, broadcast.Flooding{}, broadcast.Options{Loss: loss, Seed: rep})
-				return 100 * res.DeliveryRatio(nw.N()), true
-			}),
-		},
 	}
 }

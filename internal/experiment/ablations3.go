@@ -8,6 +8,7 @@ import (
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/dynamicb"
+	"clustercast/internal/graph"
 	"clustercast/internal/hier"
 	"clustercast/internal/routing"
 	"clustercast/internal/sim"
@@ -102,43 +103,34 @@ func Pruning(windows []int, n int, d float64, seed uint64, rule stats.StopRule) 
 // route stretch when the request is flooded blindly versus over the
 // dynamic backbone. ABL-ROUTING.
 func Routing(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	est := func(useBackbone bool, metric string) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, r, ok := clusteredSample(sc, "routing", rep)
-			if !ok {
-				return 0, false
-			}
-			src := r.source(nw.N())
-			dst := r.source(nw.N())
-			if src == dst {
-				return 0, false
-			}
-			var p broadcast.Protocol
-			if useBackbone {
-				p = dynamicb.New(nw.G, cl, coverage.Hop25)
-			} else {
-				p = broadcast.Flooding{}
-			}
-			route, err := routing.Discover(nw.G, src, dst, p)
-			if err != nil {
-				return 0, false
-			}
-			if metric == "cost" {
-				return float64(route.RequestCost), true
-			}
-			return route.Stretch(nw.G), true
-		}
+	// Series p and p+2 are protocol p's request cost and route stretch.
+	protos := []func(sh *shared) broadcast.Protocol{
+		func(*shared) broadcast.Protocol { return broadcast.Flooding{} },
+		func(sh *shared) broadcast.Protocol { return dynamicb.New(sh.nw.G, sh.cl, coverage.Hop25) },
 	}
 	return &Figure{
 		ID:     "routing",
 		Title:  fmt.Sprintf("Route discovery over the broadcast service (d=%g)", d),
 		XLabel: "n", YLabel: "RREQ transmissions / stretch",
-		Series: []Series{
-			sweep("flooding-cost", ns, d, seed, rule, est(false, "cost")),
-			sweep("backbone-cost", ns, d, seed, rule, est(true, "cost")),
-			sweep("flooding-stretch", ns, d, seed, rule, est(false, "stretch")),
-			sweep("backbone-stretch", ns, d, seed, rule, est(true, "stretch")),
-		},
+		Series: sweepSeries([]string{"flooding-cost", "backbone-cost", "flooding-stretch", "backbone-stretch"}, sizes(ns), rule,
+			atSize("routing", ns, d, seed, func(sh *shared) {
+				src := sh.r.Intn(sh.nw.N())
+				dst := sh.r.Intn(sh.nw.N())
+				if src == dst {
+					return
+				}
+				for p, proto := range protos {
+					if !sh.live[p] && !sh.live[p+2] {
+						continue
+					}
+					route, err := routing.Discover(sh.nw.G, src, dst, proto(sh))
+					if err != nil {
+						continue
+					}
+					sh.xs[p], sh.oks[p] = float64(route.RequestCost), true
+					sh.xs[p+2], sh.oks[p+2] = route.Stretch(sh.nw.G), true
+				}
+			})),
 	}
 }
 
@@ -146,51 +138,39 @@ func Routing(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 // [9]): redundant receptions per node versus density, for flooding and the
 // backbones. ABL-STORM. The sweep is over the average degree at n=80.
 func Storm(degrees []float64, n int, seed uint64, rule stats.StopRule) *Figure {
-	mk := func(name string, runOne func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result) Series {
-		s := Series{Name: name, Points: make([]Point, len(degrees))}
-		ForEachPoint(len(degrees), func(i int) {
-			deg := degrees[i]
-			sc := DefaultScenario(n, deg, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("storm-%g", deg), rep)
-				if !ok {
-					return 0, false
-				}
-				return runOne(nw, cl, r.source(nw.N())).Redundancy(), true
+	runs := []func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result{
+		func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
+			return broadcast.Run(nw.G, src, broadcast.Flooding{})
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
+			return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src)
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
+			nb := broadcast.NewNeighborhood(nw.G)
+			return broadcast.RunTimed(nw.G, src, broadcast.NewSBA(nb, 4, 1))
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
+			return broadcast.RunTimed(nw.G, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: 1})
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
+			return broadcast.RunTimed(nw.G, src, broadcast.DistanceBased{
+				Positions: nw.Positions, MinDistance: nw.Radius * 0.4, MaxDelay: 4, Seed: 1,
 			})
-			if err != nil {
-				s.Points[i] = Point{X: deg}
-				return
-			}
-			s.Points[i] = Point{X: deg, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
+		},
 	}
 	return &Figure{
 		ID:     "storm",
 		Title:  fmt.Sprintf("Redundant receptions per node vs density (n=%d)", n),
 		XLabel: "avg degree", YLabel: "redundant copies per node",
-		Series: []Series{
-			mk("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return broadcast.Run(nw.G, src, broadcast.Flooding{})
-			}),
-			mk("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src)
-			}),
-			mk("sba-w4", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				nb := broadcast.NewNeighborhood(nw.G)
-				return broadcast.RunTimed(nw.G, src, broadcast.NewSBA(nb, 4, 1))
-			}),
-			mk("counter-3", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return broadcast.RunTimed(nw.G, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: 1})
-			}),
-			mk("distance-0.4r", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return broadcast.RunTimed(nw.G, src, broadcast.DistanceBased{
-					Positions: nw.Positions, MinDistance: nw.Radius * 0.4, MaxDelay: 4, Seed: 1,
-				})
-			}),
-		},
+		Series: sweepSeries([]string{"flooding", "dynamic-2.5hop", "sba-w4", "counter-3", "distance-0.4r"}, degrees, rule,
+			atDegree("storm", degrees, n, seed, func(sh *shared) {
+				src := sh.r.Intn(sh.nw.N())
+				for j, run := range runs {
+					if sh.live[j] {
+						sh.xs[j], sh.oks[j] = run(sh.nw, sh.cl, src).Redundancy(), true
+					}
+				}
+			})),
 	}
 }
 
@@ -199,32 +179,26 @@ func Storm(degrees []float64, n int, seed uint64, rule stats.StopRule) *Figure {
 // network grows — geometric shrinkage is what makes hierarchical
 // addressing scale. ABL-HIER.
 func Hierarchy(ns []int, d float64, levels int, seed uint64, rule stats.StopRule) *Figure {
-	headsAt := func(level int) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, _, ok := sc.Sample("hier", rep)
-			if !ok {
-				return 0, false
-			}
-			h, err := hier.Build(nw.G, levels+1)
-			if err != nil {
-				return 0, false
-			}
-			if level >= h.Depth() {
-				return 1, true // fully collapsed: one head remains
-			}
-			return float64(len(h.HeadsAt(level))), true
-		}
-	}
-	var series []Series
+	var names []string
 	for lvl := 0; lvl <= levels; lvl++ {
-		series = append(series,
-			sweep(fmt.Sprintf("level-%d-heads", lvl), ns, d, seed, rule, headsAt(lvl)))
+		names = append(names, fmt.Sprintf("level-%d-heads", lvl))
 	}
 	return &Figure{
 		ID:     "hier",
 		Title:  fmt.Sprintf("Clusterheads per hierarchy level (d=%g)", d),
 		XLabel: "n", YLabel: "heads",
-		Series: series,
+		Series: sweepSeries(names, sizes(ns), rule, atSize("hier", ns, d, seed, func(sh *shared) {
+			h, err := hier.Build(sh.nw.G, levels+1)
+			if err != nil {
+				return
+			}
+			for lvl := range names {
+				sh.xs[lvl], sh.oks[lvl] = 1, true // fully collapsed: one head remains
+				if lvl < h.Depth() {
+					sh.xs[lvl] = float64(len(h.HeadsAt(lvl)))
+				}
+			}
+		})),
 	}
 }
 
@@ -234,45 +208,32 @@ func Hierarchy(ns []int, d float64, levels int, seed uint64, rule stats.StopRule
 // window). Delivery ratio versus density shows the storm collapse of
 // flooding and the backbones' resilience. ABL-COLLISION.
 func Collision(degrees []float64, n, jitterWindow int, seed uint64, rule stats.StopRule) *Figure {
-	mk := func(name string, run func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult) Series {
-		s := Series{Name: name, Points: make([]Point, len(degrees))}
-		ForEachPoint(len(degrees), func(i int) {
-			deg := degrees[i]
-			sc := DefaultScenario(n, deg, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("collision-%g", deg), rep)
-				if !ok {
-					return 0, false
-				}
-				opt := broadcast.MACOptions{Jitter: jitterWindow, Seed: sc.Seed ^ uint64(rep)}
-				res := run(nw, cl, r.source(nw.N()), opt)
-				return res.DeliveryRatio(nw.N()), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: deg}
-				return
-			}
-			s.Points[i] = Point{X: deg, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
+	runs := []func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult{
+		func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
+			return broadcast.RunMAC(nw.G, src, broadcast.Flooding{}, opt)
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
+			s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
+			return broadcast.RunMAC(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
+		},
+		func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
+			return broadcast.RunMAC(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
+		},
 	}
 	return &Figure{
 		ID:     "collision",
 		Title:  fmt.Sprintf("Delivery under MAC collisions (n=%d, jitter window %d)", n, jitterWindow),
 		XLabel: "avg degree", YLabel: "delivery ratio",
-		Series: []Series{
-			mk("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				return broadcast.RunMAC(nw.G, src, broadcast.Flooding{}, opt)
-			}),
-			mk("static-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return broadcast.RunMAC(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
-			}),
-			mk("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				return broadcast.RunMAC(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
-			}),
-		},
+		Series: sweepSeries([]string{"flooding", "static-2.5hop", "dynamic-2.5hop"}, degrees, rule,
+			atDegree("collision", degrees, n, seed, func(sh *shared) {
+				src := sh.r.Intn(sh.nw.N())
+				opt := broadcast.MACOptions{Jitter: jitterWindow, Seed: seed ^ uint64(sh.rep)}
+				for j, run := range runs {
+					if sh.live[j] {
+						sh.xs[j], sh.oks[j] = run(sh.nw, sh.cl, src, opt).DeliveryRatio(sh.nw.N()), true
+					}
+				}
+			})),
 	}
 }
 
@@ -281,32 +242,26 @@ func Collision(degrees []float64, n, jitterWindow int, seed uint64, rule stats.S
 // clustering. Fewer, larger clusters shrink the backbone but concentrate
 // load and churn under mobility. ABL-ELECTION.
 func Election(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	size := func(elect func(*topology.Network) *cluster.Clustering, what string) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, _, ok := sc.Sample("election", rep)
-			if !ok {
-				return 0, false
-			}
-			cl := elect(nw)
-			if what == "heads" {
-				return float64(cl.NumClusters()), true
-			}
-			b := coverage.NewBuilder(nw.G, cl, coverage.Hop25)
-			return float64(backbone.BuildStaticFrom(b, cl).Size()), true
-		}
-	}
-	lowest := func(nw *topology.Network) *cluster.Clustering { return cluster.LowestID(nw.G) }
-	degree := func(nw *topology.Network) *cluster.Clustering { return cluster.HighestDegree(nw.G) }
+	// Series e and e+2 are election e's head count and backbone size.
+	elects := []func(*graph.Graph) *cluster.Clustering{cluster.LowestID, cluster.HighestDegree}
 	return &Figure{
 		ID:     "election",
 		Title:  fmt.Sprintf("Lowest-ID vs highest-degree clusterhead election (d=%g)", d),
 		XLabel: "n", YLabel: "count",
-		Series: []Series{
-			sweep("lowestid-heads", ns, d, seed, rule, size(lowest, "heads")),
-			sweep("highestdeg-heads", ns, d, seed, rule, size(degree, "heads")),
-			sweep("lowestid-backbone", ns, d, seed, rule, size(lowest, "backbone")),
-			sweep("highestdeg-backbone", ns, d, seed, rule, size(degree, "backbone")),
-		},
+		Series: sweepSeries([]string{"lowestid-heads", "highestdeg-heads", "lowestid-backbone", "highestdeg-backbone"}, sizes(ns), rule,
+			atSize("election", ns, d, seed, func(sh *shared) {
+				for e, elect := range elects {
+					if !sh.live[e] && !sh.live[e+2] {
+						continue
+					}
+					cl := elect(sh.nw.G)
+					sh.xs[e], sh.oks[e] = float64(cl.NumClusters()), true
+					if sh.live[e+2] {
+						b := coverage.NewBuilder(sh.nw.G, cl, coverage.Hop25)
+						sh.xs[e+2], sh.oks[e+2] = float64(backbone.BuildStaticFrom(b, cl).Size()), true
+					}
+				}
+			})),
 	}
 }
 
@@ -317,46 +272,34 @@ func Election(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 // keep fresh: total 2-hop clusterhead entries across all non-clusterheads,
 // plus the average coverage-set size per clusterhead. ABL-COVERAGE.
 func CoverageCost(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	entries := func(mode coverage.Mode) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, _, ok := clusteredSample(sc, "covcost", rep)
-			if !ok {
-				return 0, false
-			}
-			b := coverage.NewBuilder(nw.G, cl, mode)
-			total := 0
-			for v := 0; v < nw.N(); v++ {
-				if !cl.IsHead(v) {
-					total += len(b.CH2(v))
-				}
-			}
-			return float64(total), true
-		}
-	}
-	covSize := func(mode coverage.Mode) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, _, ok := clusteredSample(sc, "covcost", rep)
-			if !ok {
-				return 0, false
-			}
-			b := coverage.NewBuilder(nw.G, cl, mode)
-			total := 0
-			for _, h := range cl.Heads {
-				total += b.Of(h).Size()
-			}
-			return float64(total) / float64(len(cl.Heads)), true
-		}
-	}
+	// Series m and m+2 are mode m's CH_HOP2 entries and mean |C(u)|.
+	modes := []coverage.Mode{coverage.Hop25, coverage.Hop3}
 	return &Figure{
 		ID:     "covcost",
 		Title:  fmt.Sprintf("Coverage-set maintenance cost, 2.5-hop vs 3-hop (d=%g)", d),
 		XLabel: "n", YLabel: "CH_HOP2 entries / avg |C(u)|",
-		Series: []Series{
-			sweep("ch2-entries-2.5hop", ns, d, seed, rule, entries(coverage.Hop25)),
-			sweep("ch2-entries-3hop", ns, d, seed, rule, entries(coverage.Hop3)),
-			sweep("coverage-size-2.5hop", ns, d, seed, rule, covSize(coverage.Hop25)),
-			sweep("coverage-size-3hop", ns, d, seed, rule, covSize(coverage.Hop3)),
-		},
+		Series: sweepSeries([]string{"ch2-entries-2.5hop", "ch2-entries-3hop", "coverage-size-2.5hop", "coverage-size-3hop"}, sizes(ns), rule,
+			atSize("covcost", ns, d, seed, func(sh *shared) {
+				nw, cl := sh.nw, sh.cl
+				for m, mode := range modes {
+					if !sh.live[m] && !sh.live[m+2] {
+						continue
+					}
+					b := coverage.NewBuilder(nw.G, cl, mode)
+					entries := 0
+					for v := 0; v < nw.N(); v++ {
+						if !cl.IsHead(v) {
+							entries += len(b.CH2(v))
+						}
+					}
+					size := 0
+					for _, h := range cl.Heads {
+						size += b.Of(h).Size()
+					}
+					sh.xs[m], sh.oks[m] = float64(entries), true
+					sh.xs[m+2], sh.oks[m+2] = float64(size)/float64(len(cl.Heads)), true
+				}
+			})),
 	}
 }
 

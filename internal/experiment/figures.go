@@ -24,6 +24,31 @@ type rngSplit struct{ r interface{ Intn(int) int } }
 
 func (s *rngSplit) source(n int) int { return s.r.Intn(n) }
 
+// atDegree returns sweepSeries' point function for an average-degree
+// sweep at n nodes: point i samples under the label "<prefix>-<degree>".
+func atDegree(prefix string, degrees []float64, n int, seed uint64, draw seriesDraw) func(int) (Scenario, string, seriesDraw) {
+	return func(i int) (Scenario, string, seriesDraw) {
+		return DefaultScenario(n, degrees[i], seed), fmt.Sprintf("%s-%g", prefix, degrees[i]), draw
+	}
+}
+
+// atSize returns sweepSeries' point function for a network-size sweep at
+// average degree d: every point samples under label.
+func atSize(label string, ns []int, d float64, seed uint64, draw seriesDraw) func(int) (Scenario, string, seriesDraw) {
+	return func(i int) (Scenario, string, seriesDraw) {
+		return DefaultScenario(ns[i], d, seed), label, draw
+	}
+}
+
+// sizes returns the network sizes as sweep coordinates.
+func sizes(ns []int) []float64 {
+	xs := make([]float64, len(ns))
+	for i, n := range ns {
+		xs[i] = float64(n)
+	}
+	return xs
+}
+
 // Fig6 reproduces Figure 6: average size of the CDS — static backbone
 // (2.5-hop and 3-hop) vs MO_CDS — for the given average degree d.
 func Fig6(d float64, ns []int, seed uint64, rule stats.StopRule) *Figure {

@@ -57,57 +57,7 @@ func trafficBackbones() []trafficBackbone {
 // keep the medium usable as load grows — flooding's delivery collapses
 // first. ABL-TRAFFIC.
 func Traffic(rates []float64, n int, d float64, flows, jitter int, seed uint64, rule stats.StopRule) *Figure {
-	type metric struct {
-		name    string
-		measure func(tr *workload.TrafficResult) float64
-	}
-	metrics := []metric{
-		{"delivery", func(tr *workload.TrafficResult) float64 { return tr.DeliveryRatio }},
-		{"throughput", func(tr *workload.TrafficResult) float64 { return tr.Throughput }},
-	}
-	var series []Series
-	for _, bk := range trafficBackbones() {
-		bk := bk
-		for _, m := range metrics {
-			m := m
-			s := Series{Name: bk.name + "-" + m.name, Points: make([]Point, len(rates))}
-			ForEachPoint(len(rates), func(i int) {
-				rate := rates[i]
-				sc := DefaultScenario(n, d, seed)
-				sc.Rule = rule
-				mw := broadcast.NewMultiMACWorkspace() // replicates run sequentially
-				sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-					nw, cl, _, ok := clusteredSample(sc, fmt.Sprintf("traffic-%g", rate), rep)
-					if !ok {
-						return 0, false
-					}
-					spec := workload.Spec{
-						Process: workload.Poisson, Rate: rate, Flows: flows,
-						FanOut: 1, Seed: sc.Seed ^ uint64(rep),
-					}
-					fl, err := spec.Generate(nw.N())
-					if err != nil {
-						return 0, false
-					}
-					tr := workload.RunTraffic(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, mw.Run)
-					return m.measure(tr), true
-				})
-				if err != nil {
-					s.Points[i] = Point{X: rate}
-					return
-				}
-				s.Points[i] = Point{X: rate, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-			})
-			series = append(series, s)
-		}
-	}
-	return &Figure{
-		ID:     "traffic",
-		Title:  fmt.Sprintf("Concurrent broadcast load (n=%d, d=%g, %d flows, jitter %d)", n, d, flows, jitter),
-		XLabel: "offered load (arrivals/slot)", YLabel: "delivery ratio / throughput",
-		Series: series,
-	}
+	return loadFigure("traffic", rates, n, d, flows, jitter, seed, rule)
 }
 
 // Discovery measures backbone-assisted route discovery under load:
@@ -116,61 +66,65 @@ func Traffic(rates []float64, n int, d float64, flows, jitter int, seed uint64, 
 // it. Success ratio and end-to-end discovery latency are swept over the
 // offered load per backbone. ABL-DISCOVERY.
 func Discovery(rates []float64, n int, d float64, flows, jitter int, seed uint64, rule stats.StopRule) *Figure {
-	type metric struct {
-		name    string
-		measure func(dr *workload.DiscoveryResult) (float64, bool)
+	return loadFigure("discovery", rates, n, d, flows, jitter, seed, rule)
+}
+
+// loadFigure runs the traffic or the discovery figure: two metric series
+// per relay structure, all drawn from one sample and one flow set per
+// (offered load, replicate). A relay structure is built, and its
+// multi-source MAC run made, only while one of its two series is still
+// running; that one run feeds both metrics.
+func loadFigure(id string, rates []float64, n int, d float64, flows, jitter int, seed uint64, rule stats.StopRule) *Figure {
+	discovery := id == "discovery"
+	fig := &Figure{
+		ID:     id,
+		Title:  fmt.Sprintf("Concurrent broadcast load (n=%d, d=%g, %d flows, jitter %d)", n, d, flows, jitter),
+		XLabel: "offered load (arrivals/slot)", YLabel: "delivery ratio / throughput",
 	}
-	metrics := []metric{
-		{"success", func(dr *workload.DiscoveryResult) (float64, bool) {
-			return dr.SuccessRatio, dr.Requests > 0
-		}},
-		// Latency is conditional on success: a replicate where every flood
-		// failed contributes no sample rather than a spurious zero.
-		{"latency", func(dr *workload.DiscoveryResult) (float64, bool) {
-			return dr.MeanLatency, dr.Found > 0
-		}},
+	metrics := [2]string{"delivery", "throughput"}
+	if discovery {
+		fig.Title = fmt.Sprintf("Route discovery under load (n=%d, d=%g, %d floods, jitter %d)", n, d, flows, jitter)
+		fig.YLabel = "success ratio / latency (slots)"
+		metrics = [2]string{"success", "latency"}
 	}
-	var series []Series
-	for _, bk := range trafficBackbones() {
-		bk := bk
-		for _, m := range metrics {
-			m := m
-			s := Series{Name: bk.name + "-" + m.name, Points: make([]Point, len(rates))}
-			ForEachPoint(len(rates), func(i int) {
-				rate := rates[i]
-				sc := DefaultScenario(n, d, seed)
-				sc.Rule = rule
-				mw := broadcast.NewMultiMACWorkspace() // replicates run sequentially
-				sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-					nw, cl, _, ok := clusteredSample(sc, fmt.Sprintf("discovery-%g", rate), rep)
-					if !ok {
-						return 0, false
-					}
-					spec := workload.Spec{
-						Process: workload.Poisson, Rate: rate, Flows: flows,
-						FanOut: 1, Discovery: true, Seed: sc.Seed ^ uint64(rep),
-					}
-					fl, err := spec.Generate(nw.N())
-					if err != nil {
-						return 0, false
-					}
-					dr := workload.RunDiscovery(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, mw.Run)
-					return m.measure(dr)
-				})
-				if err != nil {
-					s.Points[i] = Point{X: rate}
-					return
+	bks := trafficBackbones()
+	var names []string
+	for _, bk := range bks {
+		names = append(names, bk.name+"-"+metrics[0], bk.name+"-"+metrics[1])
+	}
+	opt := broadcast.MACOptions{Jitter: jitter}
+	fig.Series = sweepSeries(names, rates, rule, func(i int) (Scenario, string, seriesDraw) {
+		mw := broadcast.NewMultiMACWorkspace() // replicates run sequentially
+		return DefaultScenario(n, d, seed), fmt.Sprintf("%s-%g", id, rates[i]), func(sh *shared) {
+			spec := workload.Spec{
+				Process: workload.Poisson, Rate: rates[i], Flows: flows,
+				FanOut: 1, Discovery: discovery, Seed: seed ^ uint64(sh.rep),
+			}
+			fl, err := spec.Generate(sh.nw.N())
+			if err != nil {
+				return
+			}
+			g := sh.nw.G
+			for b, bk := range bks {
+				j := 2 * b
+				if !sh.live[j] && !sh.live[j+1] {
+					continue
 				}
-				s.Points[i] = Point{X: rate, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-			})
-			series = append(series, s)
+				proto := bk.proto(sh.nw, sh.cl)
+				if !discovery {
+					tr := workload.RunTraffic(g, fl, proto, opt, mw.Run)
+					sh.xs[j], sh.oks[j] = tr.DeliveryRatio, true
+					sh.xs[j+1], sh.oks[j+1] = tr.Throughput, true
+					continue
+				}
+				// Latency is conditional on success: a replicate where every
+				// flood failed contributes no sample rather than a spurious
+				// zero.
+				dr := workload.RunDiscovery(g, fl, proto, opt, mw.Run)
+				sh.xs[j], sh.oks[j] = dr.SuccessRatio, dr.Requests > 0
+				sh.xs[j+1], sh.oks[j+1] = dr.MeanLatency, dr.Found > 0
+			}
 		}
-	}
-	return &Figure{
-		ID:     "discovery",
-		Title:  fmt.Sprintf("Route discovery under load (n=%d, d=%g, %d floods, jitter %d)", n, d, flows, jitter),
-		XLabel: "offered load (arrivals/slot)", YLabel: "success ratio / latency (slots)",
-		Series: series,
-	}
+	})
+	return fig
 }

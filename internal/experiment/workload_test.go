@@ -16,11 +16,19 @@ var workloadCounters = []string{
 }
 
 // TestWorkloadFiguresBitIdentical is the workload determinism gate: the
-// traffic and discovery figures produce the CSV bytes AND the workload.*
-// / mac.multi* metric totals recorded when the scalar multi-source loop
-// was the production engine, at any worker count. Flow seeds are counter
-// keys and every replicate's spec seed is a pure function of the
-// replicate index, so no scheduling order can leak into the numbers.
+// traffic and discovery figures produce the CSV bytes recorded when the
+// scalar multi-source loop was the production engine, and the same
+// workload.* / mac.multi* metric totals at any worker count. Flow seeds
+// are counter keys and every replicate's spec seed is a pure function of
+// the replicate index, so no scheduling order can leak into the numbers.
+//
+// The totals count engine runs. Under desRule every series takes exactly
+// replicates 0..11 (12 observations, no skips at these sizes), so the
+// per-series loops (trafficOracle, discoveryOracle) ran 8 series × 2
+// points × 12 = 192 engines, two identical runs per relay structure and
+// replicate. The shared-replicate runner makes that run once and feeds
+// both of the structure's metrics from it: 4 × 2 × 12 = 96 runs, and every
+// additive total is exactly half the per-series loops' value.
 func TestWorkloadFiguresBitIdentical(t *testing.T) {
 	figs := map[string]struct {
 		mk     func() *Figure
@@ -31,9 +39,9 @@ func TestWorkloadFiguresBitIdentical(t *testing.T) {
 			func() *Figure { return Traffic([]float64{0.1, 0.5}, 25, 8, 10, 2, 19, desRule) },
 			"2690b42528c2fc77",
 			map[string]int64{
-				"workload.flows": 1920, "workload.deliveries": 27940, "workload.cross_collisions": 8394,
+				"workload.flows": 1920 / 2, "workload.deliveries": 27940 / 2, "workload.cross_collisions": 8394 / 2,
 				"workload.discovery_requests": 0, "workload.discovery_found": 0, "workload.discovery_failed": 0,
-				"mac.multi_runs": 192, "mac.multi_flows": 1920, "mac.cross_collisions": 8394,
+				"mac.multi_runs": 192 / 2, "mac.multi_flows": 1920 / 2, "mac.cross_collisions": 8394 / 2,
 			},
 		},
 		"discovery": {
@@ -41,8 +49,8 @@ func TestWorkloadFiguresBitIdentical(t *testing.T) {
 			"910a8b4c1d349dc4",
 			map[string]int64{
 				"workload.flows": 0, "workload.deliveries": 0, "workload.cross_collisions": 0,
-				"workload.discovery_requests": 1536, "workload.discovery_found": 956, "workload.discovery_failed": 580,
-				"mac.multi_runs": 192, "mac.multi_flows": 1536, "mac.cross_collisions": 6446,
+				"workload.discovery_requests": 1536 / 2, "workload.discovery_found": 956 / 2, "workload.discovery_failed": 580 / 2,
+				"mac.multi_runs": 192 / 2, "mac.multi_flows": 1536 / 2, "mac.cross_collisions": 6446 / 2,
 			},
 		},
 	}

@@ -108,11 +108,22 @@ func SweepPoint(sc Scenario, workers int, est WSEstimator) Point {
 		}
 		return est(ws, sc, rep)
 	})
+	release(timed, wss...)
+	if err != nil {
+		// Record an empty point; renderers show it as missing (Reps == 0).
+		return Point{X: float64(sc.N)}
+	}
+	return Point{X: float64(sc.N), Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+}
+
+// release returns a point's workspaces to the pool. When the point was
+// timed it first folds their stage clocks into the global stage table in
+// slice (worker-index) order: replicate rep always runs on worker
+// rep%workers, so the aggregate is identical for any scheduling of the
+// same run. Pooled workspaces must not leak stage time across points.
+func release(timed bool, wss ...*Workspace) {
 	if timed {
-		// Fold worker clocks into the global stage table in worker-index
-		// order: replicate rep always runs on worker rep%workers, so the
-		// aggregate is identical for any scheduling of the same run.
-		clocks := make([]*obs.StageClock, 0, slots)
+		clocks := make([]*obs.StageClock, 0, len(wss))
 		for _, ws := range wss {
 			if ws != nil {
 				clocks = append(clocks, &ws.Clock)
@@ -122,15 +133,65 @@ func SweepPoint(sc Scenario, workers int, est WSEstimator) Point {
 	}
 	for _, ws := range wss {
 		if ws != nil {
-			ws.Clock.Reset() // pooled workspaces must not leak stage time across points
+			ws.Clock.Reset()
 			wsPool.Put(ws)
 		}
 	}
-	if err != nil {
-		// Record an empty point; renderers show it as missing (Reps == 0).
-		return Point{X: float64(sc.N)}
+}
+
+// shared is one replicate of a point, drawn once and handed to the
+// point's seriesDraw: the clustered sample (workspace-owned, valid only
+// until the next replicate), the replicate's random stream, and the
+// per-series slots of stats.ReplicateSeries. The draw fills xs[j], oks[j]
+// for each live series j; values of stopped series are ignored.
+type shared struct {
+	nw   *topology.Network
+	cl   *cluster.Clustering
+	r    *rng.Stream
+	rep  int
+	live []bool
+	xs   []float64
+	oks  []bool
+}
+
+// seriesDraw measures every live series of a point on one shared
+// replicate.
+type seriesDraw func(sh *shared)
+
+// sweepSeries measures the named series over the points xs. Point i's
+// scenario, sample label and draw come from point(i); every series of the
+// point reads the same (label, rep) sample, drawn once per replicate for
+// all series still running, and a failed sample skips all of them. Each
+// series' Point is therefore bit-identical to its own stats.Replicate
+// loop over the same label. Points run across the worker pool;
+// replicates within a point run sequentially on one pooled workspace.
+func sweepSeries(names []string, xs []float64, rule stats.StopRule, point func(i int) (Scenario, string, seriesDraw)) []Series {
+	series := make([]Series, len(names))
+	for j, name := range names {
+		series[j] = Series{Name: name, Points: make([]Point, len(xs))}
 	}
-	return Point{X: float64(sc.N), Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+	ForEachPoint(len(xs), func(i int) {
+		sc, label, draw := point(i)
+		timed := obs.Enabled()
+		ws := wsPool.Get().(*Workspace)
+		sh := &shared{}
+		sums, errs := stats.ReplicateSeries(rule, len(names), func(rep int, live []bool, vals []float64, oks []bool) {
+			var ok bool
+			if sh.nw, sh.cl, sh.r, ok = clusteredSampleWS(ws, sc, label, rep); ok {
+				sh.rep, sh.live, sh.xs, sh.oks = rep, live, vals, oks
+				draw(sh)
+			}
+		})
+		release(timed, ws)
+		for j, sum := range sums {
+			p := Point{X: xs[i]} // missing: no observations
+			if errs[j] == nil {
+				p = Point{X: xs[i], Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+			}
+			series[j].Points[i] = p
+		}
+	})
+	return series
 }
 
 // sweepWS is sweep for workspace-threaded estimators.

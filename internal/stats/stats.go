@@ -335,9 +335,59 @@ func Replicate(rule StopRule, estimator func(rep int) (float64, bool)) (*Summary
 	}
 }
 
-// skip applies the skip-budget bookkeeping shared by Replicate and
-// ReplicateN: too many skipped replicates end the run, with
-// ErrNoObservations when nothing was ever observed.
+// ReplicateSeries drives k series that share one draw per replicate.
+// Before each replicate a series is live while its rule is not Done and
+// its 10× skip budget is not spent; draw(rep, live, xs, oks) is called
+// once per replicate for the live series and fills xs[j], oks[j] for each
+// live j (oks is cleared first, so a draw that returns early skips every
+// live series). Each series is then folded in replicate order exactly as
+// Replicate folds it, so series j's Summary and error are bit-identical
+// to Replicate over j's own estimator. The loop ends when no series is
+// live.
+func ReplicateSeries(rule StopRule, k int, draw func(rep int, live []bool, xs []float64, oks []bool)) ([]*Summary, []error) {
+	rule = rule.normalized()
+	sums := make([]*Summary, k)
+	for j := range sums {
+		sums[j] = &Summary{}
+	}
+	errs := make([]error, k)
+	skips := make([]int, k)
+	stopped := make([]bool, k)
+	live := make([]bool, k)
+	xs := make([]float64, k)
+	oks := make([]bool, k)
+	for rep := 0; ; rep++ {
+		running := false
+		for j := range live {
+			stopped[j] = stopped[j] || rule.Done(sums[j])
+			live[j] = !stopped[j]
+			running = running || live[j]
+			oks[j] = false
+		}
+		if !running {
+			return sums, errs
+		}
+		draw(rep, live, xs, oks)
+		for j, l := range live {
+			if !l {
+				continue
+			}
+			if !oks[j] {
+				skips[j]++
+				mSkips.Inc()
+				stopped[j], errs[j] = skip(rule, sums[j], &skips[j])
+				continue
+			}
+			sums[j].Add(xs[j])
+			mObservations.Inc()
+			progReplicates.Step()
+		}
+	}
+}
+
+// skip applies the skip-budget bookkeeping shared by Replicate,
+// ReplicateN and ReplicateSeries: too many skipped replicates end the
+// run, with ErrNoObservations when nothing was ever observed.
 func skip(rule StopRule, s *Summary, skips *int) (bool, error) {
 	if *skips > 10*rule.MaxReplicates {
 		if s.N() == 0 {
